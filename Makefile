@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench-smoke bench-kernels bench-memory bench-pipeline bench-serving bench-quant fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke ci clean
+.PHONY: all build test fmt loc bench-smoke bench-kernels bench-memory bench-pipeline bench-serving bench-quant fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke ci clean
 
 all: build
 
@@ -10,6 +10,11 @@ test:
 
 fmt:
 	dune build @fmt
+
+# Total lines of lib/**/*.ml and lib/**/*.mli: the size figure each
+# change reports before and after.
+loc:
+	@find lib \( -name '*.ml' -o -name '*.mli' \) -type f -print0 | xargs -0 cat | wc -l
 
 # Exercises both scheduler policies end to end and writes
 # BENCH_dispatch.json (small sizes; seconds, not minutes).

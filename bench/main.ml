@@ -46,6 +46,16 @@ let build_null_graph n =
   let outs = List.init n (fun _ -> B.identity b zero) in
   (b, B.add_n b outs)
 
+(* The same null graph with its sum routed through one [cond]: the
+   Switch/Merge pair puts the step on the executor's frame machinery,
+   so this rate tracks dead-value and frame bookkeeping next to the
+   flat one. *)
+let build_null_cond_graph n =
+  let b, sink = build_null_graph n in
+  let pred = B.const b (Tensor.scalar_b true) in
+  let branch b xs = List.map (B.identity b) xs in
+  (b, List.hd (B.cond b pred ~inputs:[ sink ] ~then_:branch ~else_:branch))
+
 let dispatch_bechamel () =
   section "Executor dispatch rate (bechamel; paper: ~2,000,000 null ops/s)";
   let n = 1000 in
@@ -160,14 +170,21 @@ let dispatch_wide () =
   let null_build () = build_null_graph null_n in
   let null_inline = measure Octf.Scheduler.Inline ~build:null_build ~iters:null_iters in
   let null_pool = measure Octf.Scheduler.Pool ~build:null_build ~iters:null_iters in
+  let null_cond_inline =
+    measure Octf.Scheduler.Inline
+      ~build:(fun () -> build_null_cond_graph null_n)
+      ~iters:null_iters
+  in
   let rate sec_per_step = float_of_int null_n /. sec_per_step in
   Printf.printf
     "null-op dispatch (%d ops/step):\n\
     \  inline: %8.2f M ops/s\n\
-    \  pool:   %8.2f M ops/s\n%!"
+    \  pool:   %8.2f M ops/s\n\
+    \  inline, plus one cond: %8.2f M ops/s\n%!"
     null_n
     (rate null_inline /. 1e6)
-    (rate null_pool /. 1e6);
+    (rate null_pool /. 1e6)
+    (rate null_cond_inline /. 1e6);
   (* Machine-readable record for cross-PR trajectory tracking. *)
   let json =
     Printf.sprintf
@@ -175,7 +192,8 @@ let dispatch_wide () =
        \"wide_graph\":{\"width\":%d,\"dim\":%d,\"chain\":%d,\n\
       \  \"inline_ms_per_step\":%.3f,\"pool_ms_per_step\":%.3f,\"speedup\":%.3f},\n\
        \"null_op\":{\"ops_per_step\":%d,\n\
-      \  \"inline_ops_per_sec\":%.0f,\"pool_ops_per_sec\":%.0f}}\n"
+      \  \"inline_ops_per_sec\":%.0f,\"pool_ops_per_sec\":%.0f,\n\
+      \  \"inline_cond_ops_per_sec\":%.0f}}\n"
       (smoke : bool)
       (Domain.recommended_domain_count ())
       (Octf.Domain_pool.size ())
@@ -183,6 +201,7 @@ let dispatch_wide () =
       (1000.0 *. wide_inline)
       (1000.0 *. wide_pool)
       speedup null_n (rate null_inline) (rate null_pool)
+      (rate null_cond_inline)
   in
   let oc = open_out "BENCH_dispatch.json" in
   output_string oc json;

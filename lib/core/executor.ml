@@ -5,44 +5,81 @@ open Octf_tensor
 let invalid msg = Step_failure.error (Step_failure.Invalid_graph msg)
 
 (* ------------------------------------------------------------------ *)
-(* Static structure: frames                                            *)
+(* Static structure                                                     *)
 (* ------------------------------------------------------------------ *)
 
 type static_frame = {
-  sf_name : string;  (* "" for the root frame *)
+  sf_id : int;  (* 0 for the root frame *)
+  sf_name : string;
   sf_parent : static_frame option;
   sf_depth : int;
 }
 
-let root_frame = { sf_name = ""; sf_parent = None; sf_depth = 0 }
+let root_frame = { sf_id = 0; sf_name = ""; sf_parent = None; sf_depth = 0 }
 
 let rec frame_is_ancestor ~anc f =
   anc == f
   || match f.sf_parent with None -> false | Some p -> frame_is_ancestor ~anc p
 
-(* ------------------------------------------------------------------ *)
-(* Compiled subgraph                                                    *)
-(* ------------------------------------------------------------------ *)
+(* The op types the executor itself interprets, so that no op-type
+   string is compared on the hot path. *)
+type kind = Plain | Merge | Enter | Exit | Next_iteration | Send
 
-type cnode = {
-  node : Node.t;
-  mutable out_data : (int * int * int) list;  (* (out_index, dst, slot) *)
-  mutable out_control : int list;
-  mutable in_count : int;  (* arrivals needed (invariant edges excluded) *)
-  mutable invariant_slots : int list;  (* input slots fed by invariant nodes *)
-  mutable invariant_controls : int;  (* control inputs from invariant nodes *)
-  mutable frame : static_frame;
-  is_merge : bool;
+let kind_of_op = function
+  | "Merge" -> Merge
+  | "Enter" -> Enter
+  | "Exit" -> Exit
+  | "NextIteration" -> Next_iteration
+  | "Send" -> Send
+  | _ -> Plain
+
+(* Every compiled node has a dense index [g]. A node executes in one
+   frame ([frame]) and is numbered [local] among that frame's nodes; its
+   output values live in one frame's value slots starting at [slot] —
+   the parent frame for an Exit, its own frame otherwise. The state of
+   one iteration of a frame instance is a set of arrays indexed by these
+   frame-local numbers, so a graph without control flow allocates just
+   the root frame's iteration 0. *)
+type frame_layout = {
+  fl_in_count : int array;  (* arrivals needed, by local index *)
+  fl_slots : int;  (* output values stored in this frame *)
+  fl_rc : int array;  (* data consumers per slot of a fresh endpoint *)
+  fl_poolable : bool array;  (* no consumer retains the endpoint *)
+  fl_no_pins : bool array;  (* all false: fetches read the root only *)
+}
+
+type plan = {
+  p_graph : Graph.t;
+  p_index : (int, int) Hashtbl.t;  (* node id -> dense index *)
+  p_nodes : Node.t array;
+  p_kernels : Kernel.t option array;  (* resolved on first use *)
+  p_kind : kind array;
   (* An invariant node executes once per frame instance and its outputs
      are visible in every iteration: constant Enters, and any stateless
      in-frame node all of whose inputs are invariant. *)
-  mutable is_invariant : bool;
-  mutable kernel : Kernel.t option;  (* resolved at compile time *)
-}
-
-type compiled = {
-  graph : Graph.t;
-  cnodes : (int, cnode) Hashtbl.t;
+  p_invariant : bool array;
+  p_fed : bool array;
+  p_frame : int array;
+  p_local : int array;
+  p_value_frame : int array;
+  p_slot : int array;
+  p_nouts : int array;  (* value slots per node *)
+  p_inputs : int array array;  (* producer value slot per input *)
+  p_inv_inputs : bool array array;  (* [||] when no input is invariant *)
+  p_inv_srcs : int array array;  (* local indices of invariant producers *)
+  (* Input slots whose producer's refcount this node releases when it
+     finishes (-1: untracked). Only same-iteration edges from fresh
+     producers are tracked; an untracked endpoint is never dropped
+     early, which leaks until step end but never frees a live value. *)
+  p_tracked : int array array;
+  p_data_out : (int * int) array array;  (* (output, consumer) *)
+  p_control_out : int array array;
+  p_cls : Scheduler.cls array;
+  p_aliases : (int * int) list array;  (* declared May_alias pairs *)
+  p_fresh : bool array;  (* outputs are planner-owned fresh buffers *)
+  p_frames : frame_layout array;
+  p_scheduler : Scheduler.policy;
+  p_planning : bool;  (* memory planning default for this plan's steps *)
 }
 
 let is_const_enter_node (n : Node.t) =
@@ -55,268 +92,279 @@ let never_invariant op =
       true
   | _ -> false
 
-let compile graph nodes fed =
+let blocking_op = function
+  | "Recv" | "Dequeue" | "DequeueMany" | "Enqueue" | "EnqueueMany" -> true
+  | _ -> false
+
+let prepare ?scheduler ?memory_planning ~graph ~nodes ~fed_ids () =
   Builtin_kernels.ensure ();
-  let in_set = Hashtbl.create (List.length nodes * 2) in
-  List.iter (fun id -> Hashtbl.replace in_set id ()) nodes;
-  let frames = Hashtbl.create 8 in
-  Hashtbl.replace frames "" root_frame;
-  let cnodes = Hashtbl.create (List.length nodes * 2) in
-  List.iter
-    (fun id ->
-      let n = Graph.get graph id in
-      Hashtbl.replace cnodes id
-        {
-          node = n;
-          out_data = [];
-          out_control = [];
-          in_count = 0;
-          invariant_slots = [];
-          invariant_controls = 0;
-          frame = root_frame;
-          is_merge = n.Node.op_type = "Merge";
-          is_invariant = is_const_enter_node n;
-          kernel = None;
-        })
-    nodes;
-  let cnode id = Hashtbl.find cnodes id in
-  let executed id = Hashtbl.mem in_set id in
-  let out_frame cn =
-    match cn.node.Node.op_type with
-    | "Exit" -> (
-        match cn.frame.sf_parent with
-        | Some p -> p
-        | None ->
-            raise (invalid ("Exit outside a frame: " ^ cn.node.Node.name)))
-    | _ -> cn.frame
+  (* Dense indices follow the id table's iteration order, which is also
+     the order sources are first scheduled in. *)
+  let index = Hashtbl.create (List.length nodes * 2) in
+  List.iter (fun id -> Hashtbl.replace index id (-1)) nodes;
+  let ids = Array.of_seq (Hashtbl.to_seq_keys index) in
+  Array.iteri (fun g id -> Hashtbl.replace index id g) ids;
+  let n = Array.length ids in
+  let dense id = Hashtbl.find_opt index id in
+  let nodes = Array.map (Graph.get graph) ids in
+  let fed_set = Hashtbl.create 8 in
+  List.iter (fun id -> Hashtbl.replace fed_set id ()) fed_ids;
+  let fed = Array.map (fun id -> Hashtbl.mem fed_set id) ids in
+  let kind = Array.map (fun nd -> kind_of_op nd.Node.op_type) nodes in
+  let invariant = Array.map is_const_enter_node nodes in
+  let sframe = Array.make n root_frame in
+  let frames = Hashtbl.create 8 in  (* name -> frame, root excluded *)
+  let out_frame g =
+    if kind.(g) = Exit then
+      match sframe.(g).sf_parent with
+      | Some p -> p
+      | None ->
+          raise (invalid ("Exit outside a frame: " ^ nodes.(g).Node.name))
+    else sframe.(g)
+  in
+  let input_ids (nd : Node.t) =
+    Array.to_list (Array.map (fun (e : Node.endpoint) -> e.node_id) nd.inputs)
+    @ nd.Node.control_inputs
   in
   (* One topological pass (loop back edges ignored) assigns frames and
      invariant-ness. *)
-  let order = Graph.topological_order graph in
   List.iter
-    (fun (n : Node.t) ->
-      if executed n.Node.id then begin
-        let cn = cnode n.Node.id in
-        let input_ids =
-          Array.to_list
-            (Array.map (fun (e : Node.endpoint) -> e.node_id) n.Node.inputs)
-          @ n.Node.control_inputs
-        in
-        let input_frames =
-          List.filter_map
-            (fun src ->
-              if executed src then Some (out_frame (cnode src)) else None)
-            input_ids
-        in
-        let deepest =
-          List.fold_left
-            (fun acc f -> if f.sf_depth > acc.sf_depth then f else acc)
-            root_frame input_frames
-        in
-        List.iter
-          (fun f ->
-            if not (frame_is_ancestor ~anc:f deepest) then
-              raise
-                (invalid
-                   (Printf.sprintf
-                      "node %s mixes values from unrelated frames %S and %S \
-                       (pass loop-external values via ~invariants)"
-                      n.Node.name f.sf_name deepest.sf_name)))
-          input_frames;
-        (match n.Node.op_type with
-        | "Enter" ->
-            let name = Node.attr_string n "frame_name" in
-            let frame =
-              match Hashtbl.find_opt frames name with
-              | Some f -> f
-              | None ->
-                  let f =
-                    {
-                      sf_name = name;
-                      sf_parent = Some deepest;
-                      sf_depth = deepest.sf_depth + 1;
-                    }
-                  in
-                  Hashtbl.replace frames name f;
-                  f
-            in
-            cn.frame <- frame
-        | _ -> cn.frame <- deepest);
-        (* Invariant propagation: inside a frame, a stateless node whose
-           inputs are all invariant is itself invariant. *)
-        if
-          (not cn.is_invariant)
-          && cn.frame != root_frame
-          && (not (never_invariant n.Node.op_type))
-          && (not (Node.is_stateful n))
-          && input_ids <> []
-          && List.for_all
-               (fun src -> executed src && (cnode src).is_invariant)
-               input_ids
-        then cn.is_invariant <- true
-      end)
-    order;
+    (fun (nd : Node.t) ->
+      match dense nd.Node.id with
+      | None -> ()
+      | Some g ->
+          let srcs = List.map dense (input_ids nd) in
+          let input_frames = List.filter_map (Option.map out_frame) srcs in
+          let deepest =
+            List.fold_left
+              (fun acc f -> if f.sf_depth > acc.sf_depth then f else acc)
+              root_frame input_frames
+          in
+          List.iter
+            (fun f ->
+              if not (frame_is_ancestor ~anc:f deepest) then
+                raise
+                  (invalid
+                     (Printf.sprintf
+                        "node %s mixes values from unrelated frames %S and \
+                         %S (pass loop-external values via ~invariants)"
+                        nd.Node.name f.sf_name deepest.sf_name)))
+            input_frames;
+          (sframe.(g) <-
+             match kind.(g) with
+             | Enter -> (
+                 let name = Node.attr_string nd "frame_name" in
+                 match Hashtbl.find_opt frames name with
+                 | Some f -> f
+                 | None ->
+                     let f =
+                       {
+                         sf_id = Hashtbl.length frames + 1;
+                         sf_name = name;
+                         sf_parent = Some deepest;
+                         sf_depth = deepest.sf_depth + 1;
+                       }
+                     in
+                     Hashtbl.replace frames name f;
+                     f)
+             | _ -> deepest);
+          (* Invariant propagation: inside a frame, a stateless node whose
+             inputs are all invariant is itself invariant. *)
+          if
+            (not invariant.(g))
+            && sframe.(g) != root_frame
+            && (not (never_invariant nd.Node.op_type))
+            && (not (Node.is_stateful nd))
+            && srcs <> []
+            && List.for_all
+                 (function Some s -> invariant.(s) | None -> false)
+                 srcs
+          then invariant.(g) <- true)
+    (Graph.topological_order graph);
   (* An edge must stay within one frame unless it feeds an Enter or
-     comes from an invariant node (which lives in the consumer's frame).
-     Producer-side Exit/NextIteration adjustments keep those edges
-     same-frame from the value's point of view. *)
-  let check_edge_frames src cn =
-    let sf =
-      match src.node.Node.op_type with
-      | "Exit" -> (
-          match src.frame.sf_parent with Some p -> p | None -> src.frame)
-      | _ -> src.frame
-    in
-    let df = cn.frame in
-    if sf != df && cn.node.Node.op_type <> "Enter" && not src.is_invariant
-    then
+     comes from an invariant node of the consumer's frame. Producer-side
+     Exit adjustments keep those edges same-frame from the value's point
+     of view. *)
+  let check_edge src dst =
+    let sf = out_frame src and df = sframe.(dst) in
+    let name g = nodes.(g).Node.name in
+    if invariant.(src) && sframe.(src) != df then
+      raise
+        (invalid
+           (Printf.sprintf
+              "edge %s -> %s reads a loop invariant of the enclosing frame \
+               %S; an inner loop can only take a per-iteration value of \
+               the enclosing loop"
+              (name src) (name dst) sframe.(src).sf_name))
+    else if sf != df && kind.(dst) <> Enter && not invariant.(src) then
       raise
         (invalid
            (Printf.sprintf
               "edge %s -> %s crosses loop frames (%S -> %S); pass \
                loop-external values through ~invariants (constants created \
                inside a loop body must enter its frame)"
-              src.node.Node.name cn.node.Node.name sf.sf_name df.sf_name))
+              (name src) (name dst) sf.sf_name df.sf_name))
   in
   (* Wire edges and arrival counts, restricted to the executed set. *)
-  Hashtbl.iter
-    (fun id cn ->
-      let n = cn.node in
-      if not (Hashtbl.mem fed id) then begin
-        Array.iteri
-          (fun slot (e : Node.endpoint) ->
-            if not (executed e.node_id) then
-              invalid_arg
-                (Printf.sprintf
-                   "Executor: input %s of %s is outside the executed subgraph"
-                   (Graph.get graph e.node_id).Node.name n.Node.name);
-            let src = cnode e.node_id in
-            check_edge_frames src cn;
-            src.out_data <- (e.index, id, slot) :: src.out_data;
-            if src.is_invariant then
-              cn.invariant_slots <- slot :: cn.invariant_slots
-            else cn.in_count <- cn.in_count + 1)
-          n.Node.inputs;
+  let in_count = Array.make n 0 in
+  let data_out = Array.make n [] and control_out = Array.make n [] in
+  let inv_srcs = Array.make n [] in
+  let src_of = Array.make n [||] in
+  Array.iteri
+    (fun g (nd : Node.t) ->
+      if not fed.(g) then begin
+        src_of.(g) <-
+          Array.map
+            (fun (e : Node.endpoint) ->
+              let src =
+                match dense e.node_id with
+                | Some s -> s
+                | None ->
+                    invalid_arg
+                      (Printf.sprintf
+                         "Executor: input %s of %s is outside the executed \
+                          subgraph"
+                         (Graph.get graph e.node_id).Node.name nd.Node.name)
+              in
+              check_edge src g;
+              data_out.(src) <- (e.index, g) :: data_out.(src);
+              if invariant.(src) then inv_srcs.(g) <- src :: inv_srcs.(g)
+              else in_count.(g) <- in_count.(g) + 1;
+              src)
+            nd.Node.inputs;
         List.iter
           (fun c ->
-            if executed c then begin
-              let src = cnode c in
-              check_edge_frames src cn;
-              src.out_control <- id :: src.out_control;
-              if src.is_invariant then
-                cn.invariant_controls <- cn.invariant_controls + 1
-              else cn.in_count <- cn.in_count + 1
-            end)
-          n.Node.control_inputs
+            match dense c with
+            | None -> ()
+            | Some src ->
+                check_edge src g;
+                control_out.(src) <- g :: control_out.(src);
+                if invariant.(src) then inv_srcs.(g) <- src :: inv_srcs.(g)
+                else in_count.(g) <- in_count.(g) + 1)
+          nd.Node.control_inputs
       end)
-    cnodes;
-  { graph; cnodes }
-
-(* ------------------------------------------------------------------ *)
-(* Dynamic state                                                        *)
-(* ------------------------------------------------------------------ *)
-
-type iter_state = {
-  it_index : int;
-  values : (int, Value.t) Hashtbl.t;  (* key = node_id lsl 20 lor out *)
-  arrived : (int, int) Hashtbl.t;
-  dead_control : (int, unit) Hashtbl.t;  (* nodes with a dead control token *)
-  non_dead_seen : (int, unit) Hashtbl.t;  (* merges with a live data input *)
-  done_nodes : (int, unit) Hashtbl.t;
-  (* Memory planning: remaining unfinished data consumers per produced
-     endpoint (key = value_key), for planner-owned (fresh) endpoints
-     only. An endpoint whose count reaches zero is dropped from
-     [values]. Missing entries mean "not tracked" — early-firing merges
-     and cross-frame edges decrement nothing, which leaks (until step
-     end) but never frees a value that is still needed. *)
-  rc : (int, int) Hashtbl.t;
-  (* Endpoints whose buffer was granted in-place to a consumer: the
-     consumer's output (or a variable) now owns it, so a later drop must
-     neither un-count its bytes nor recycle the buffer. *)
-  transferred : (int, unit) Hashtbl.t;
-}
-
-type instance = {
-  inst_frame : static_frame;
-  inst_parent : (instance * int) option;
-  iterations : (int, iter_state) Hashtbl.t;
-  invariants : (int, Value.t) Hashtbl.t;  (* key = value_key *)
-  invariant_done : (int, unit) Hashtbl.t;  (* invariant node ids executed *)
-  inst_key : string;
-}
-
-let value_key node_id out = (node_id lsl 20) lor out
-
-let new_iter index =
-  {
-    it_index = index;
-    values = Hashtbl.create 16;
-    arrived = Hashtbl.create 16;
-    dead_control = Hashtbl.create 4;
-    non_dead_seen = Hashtbl.create 4;
-    done_nodes = Hashtbl.create 16;
-    rc = Hashtbl.create 16;
-    transferred = Hashtbl.create 4;
-  }
-
-(* Static lifetime facts for the general path, computed once per plan:
-   how many executed data consumers each planner-owned endpoint has,
-   which of those endpoints may hand their buffer to the pool when
-   dropped, and which node ids own their outputs at all. *)
-type mem_info = {
-  mi_counts : (int, int) Hashtbl.t;  (* value_key -> static consumer count *)
-  mi_poolable : (int, unit) Hashtbl.t;  (* value_key set *)
-  mi_fresh : (int, unit) Hashtbl.t;  (* node ids with planner-owned outputs *)
-}
-
-type state = {
-  compiled : compiled;
-  resources : Resource_manager.t;
-  rendezvous : Rendezvous.t option;
-  tracer : Tracer.t option;
-  cancel : Cancel.t option;
-  seed : int;
-  step_id : int;
-  var_snapshot : (string -> Octf_tensor.Tensor.t option) option;
-  instances : (string, instance) Hashtbl.t;
-  planning : bool;  (* lifetime-driven drops / grants enabled this step *)
-  mem : mem_info;
-  pinned : (int, unit) Hashtbl.t;  (* fetched value_keys: never drop/grant *)
-  fed : (int, unit) Hashtbl.t;  (* fed node ids: inputs unwired, no counts *)
-  live : int ref;  (* planner-tracked live bytes, this step *)
-  (* Set right after creation (the scheduler's callbacks close over the
-     state, so the two are built in sequence). *)
-  mutable sched : (cnode * instance * iter_state) Scheduler.t option;
-}
-
-let get_iter inst index =
-  match Hashtbl.find_opt inst.iterations index with
-  | Some it -> it
-  | None ->
-      let it = new_iter index in
-      Hashtbl.replace inst.iterations index it;
-      it
-
-let child_instance st frame (parent : instance) parent_iter =
-  let key =
-    Printf.sprintf "%s|%s.%d" frame.sf_name parent.inst_key parent_iter
+    nodes;
+  (* Frame-local numbering and value-slot layout. *)
+  let nframes = Hashtbl.length frames + 1 in
+  let frame = Array.map (fun f -> f.sf_id) sframe in
+  let value_frame = Array.init n (fun g -> (out_frame g).sf_id) in
+  let counts = Array.make nframes 0 and slots = Array.make nframes 0 in
+  let local =
+    Array.map
+      (fun f ->
+        let l = counts.(f) in
+        counts.(f) <- l + 1;
+        l)
+      frame
   in
-  match Hashtbl.find_opt st.instances key with
-  | Some i -> i
-  | None ->
-      let i =
+  let nouts = Array.map (fun nd -> max 1 (Node.num_outputs nd)) nodes in
+  Array.iteri
+    (fun src edges ->
+      List.iter
+        (fun (out, _) -> nouts.(src) <- max nouts.(src) (out + 1))
+        edges)
+    data_out;
+  let slot =
+    Array.mapi
+      (fun g f ->
+        let s = slots.(f) in
+        slots.(f) <- s + nouts.(g);
+        s)
+      value_frame
+  in
+  let fresh =
+    Array.mapi
+      (fun g nd ->
+        (not fed.(g)) && (not invariant.(g))
+        && Mem_plan.fresh_output_op nd.Node.op_type)
+      nodes
+  in
+  let rc = Array.init nframes (fun f -> Array.make slots.(f) 0) in
+  let poolable = Array.init nframes (fun f -> Array.make slots.(f) false) in
+  Array.iteri
+    (fun src edges ->
+      if fresh.(src) then begin
+        let f = value_frame.(src) and base = slot.(src) in
+        Array.fill poolable.(f) base nouts.(src) true;
+        List.iter
+          (fun (out, dst) ->
+            rc.(f).(base + out) <- rc.(f).(base + out) + 1;
+            if Mem_plan.retains_input nodes.(dst).Node.op_type then
+              poolable.(f).(base + out) <- false)
+          edges
+      end)
+    data_out;
+  let in_counts = Array.map (fun c -> Array.make c 0) counts in
+  Array.iteri (fun g c -> in_counts.(frame.(g)).(local.(g)) <- c) in_count;
+  let p_frames =
+    Array.init nframes (fun f ->
         {
-          inst_frame = frame;
-          inst_parent = Some (parent, parent_iter);
-          iterations = Hashtbl.create 4;
-          invariants = Hashtbl.create 4;
-          invariant_done = Hashtbl.create 4;
-          inst_key = key;
-        }
-      in
-      ignore (get_iter i 0);
-      Hashtbl.replace st.instances key i;
-      i
+          fl_in_count = in_counts.(f);
+          fl_slots = slots.(f);
+          fl_rc = rc.(f);
+          fl_poolable = poolable.(f);
+          fl_no_pins = Array.make slots.(f) false;
+        })
+  in
+  let inputs =
+    Array.mapi
+      (fun g srcs ->
+        Array.mapi
+          (fun i src -> slot.(src) + nodes.(g).Node.inputs.(i).Node.index)
+          srcs)
+      src_of
+  in
+  {
+    p_graph = graph;
+    p_index = index;
+    p_nodes = nodes;
+    p_kernels = Array.make n None;
+    p_kind = kind;
+    p_invariant = invariant;
+    p_fed = fed;
+    p_frame = frame;
+    p_local = local;
+    p_value_frame = value_frame;
+    p_slot = slot;
+    p_nouts = nouts;
+    p_inputs = inputs;
+    p_inv_inputs =
+      Array.map
+        (fun srcs ->
+          if Array.exists (fun s -> invariant.(s)) srcs then
+            Array.map (fun s -> invariant.(s)) srcs
+          else [||])
+        src_of;
+    p_inv_srcs =
+      Array.map
+        (fun l -> Array.of_list (List.map (fun s -> local.(s)) l))
+        inv_srcs;
+    p_tracked =
+      Array.mapi
+        (fun g srcs ->
+          Array.mapi
+            (fun i src ->
+              if fresh.(src) && kind.(g) <> Enter then inputs.(g).(i) else -1)
+            srcs)
+        src_of;
+    p_data_out = Array.map Array.of_list data_out;
+    p_control_out = Array.map Array.of_list control_out;
+    p_cls =
+      Array.map
+        (fun nd ->
+          if nd.Node.op_type = "Recv" then Scheduler.Recv
+          else if blocking_op nd.Node.op_type then Scheduler.Blocking
+          else Scheduler.Normal)
+        nodes;
+    p_aliases =
+      Array.map (fun nd -> Kernel.aliases ~op_type:nd.Node.op_type) nodes;
+    p_fresh = fresh;
+    p_frames;
+    p_scheduler =
+      (match scheduler with Some p -> p | None -> Scheduler.default_policy ());
+    p_planning =
+      (match memory_planning with Some b -> b | None -> Mem_plan.enabled ());
+  }
 
 let m_kernels =
   Metrics.Counter.v ~help:"Kernels dispatched by the executor"
@@ -395,246 +443,291 @@ let trace tracer (n : Node.t) ~step_id ?(bytes_of = fun _ -> 0)
     result
   end
 
-let blocking_op = function
-  | "Recv" | "Dequeue" | "DequeueMany" | "Enqueue" | "EnqueueMany" -> true
-  | _ -> false
-
 let recv_rendezvous_key ~step_id (n : Node.t) =
   Rendezvous.step_key ~step_id
     ~send_device:(Node.attr_string n "send_device")
     ~recv_device:(Node.attr_string n "recv_device")
     ~tensor_name:(Node.attr_string n "tensor_name")
 
-let invariants_available inst (cn : cnode) =
-  (cn.invariant_slots == [] && cn.invariant_controls = 0)
-  || List.for_all
-    (fun slot ->
-      let (e : Node.endpoint) = cn.node.Node.inputs.(slot) in
-      Hashtbl.mem inst.invariants (value_key e.node_id e.index))
-    cn.invariant_slots
-  && List.length
-       (List.filter
-          (fun c -> Hashtbl.mem inst.invariant_done c)
-          cn.node.Node.control_inputs)
-     >= cn.invariant_controls
+(* ------------------------------------------------------------------ *)
+(* Dynamic state                                                        *)
+(* ------------------------------------------------------------------ *)
 
-let schedule st cn inst it =
+(* One iteration of one frame instance. Node-indexed arrays use the
+   frame-local index; value-indexed arrays use the value slots. *)
+type iter = {
+  inst : instance;
+  index : int;
+  pending : int array;  (* arrivals still missing *)
+  flags : int array;  (* [scheduled], [dead_control], [live_input] bits *)
+  values : Value.t array;  (* Dead until produced *)
+  (* Memory planning: unfinished data consumers per fresh endpoint. An
+     endpoint whose count reaches zero is dropped from [values]. *)
+  rc : int array;
+  (* Endpoints whose buffer was granted in-place to a consumer: the
+     consumer's output (or a variable) now owns it, so a later drop must
+     neither un-count its bytes nor recycle the buffer. *)
+  transferred : bool array;
+  pinned : bool array;  (* fetched endpoints: never dropped or granted *)
+  mutable children : instance list;  (* frames entered from here *)
+}
+
+and instance = {
+  frame : int;
+  parent : iter option;  (* the iteration this instance was entered from *)
+  mutable iters : iter array;  (* by index; created in order *)
+  mutable count : int;
+  inv_values : Value.t array;  (* invariant outputs, by value slot *)
+  inv_done : bool array;  (* invariant nodes finished, by local index *)
+}
+
+let scheduled = 1
+let dead_control = 2
+let live_input = 4 (* a Merge received a live data input *)
+
+type step = {
+  plan : plan;
+  planning : bool;  (* lifetime-driven drops / grants enabled this step *)
+  resources : Resource_manager.t;
+  rendezvous : Rendezvous.t option;
+  tracer : Tracer.t option;
+  cancel : Cancel.t option;
+  seed : int;
+  step_id : int;
+  var_snapshot : (string -> Octf_tensor.Tensor.t option) option;
+  live : int ref;  (* planner-tracked live bytes, this step *)
+  (* Set right after creation (the scheduler's callbacks close over the
+     step, so the two are built in sequence). *)
+  mutable sched : (int * iter) Scheduler.t option;
+}
+
+let new_iter st inst index pinned =
+  let fl = st.plan.p_frames.(inst.frame) in
+  let it =
+    {
+      inst;
+      index;
+      pending = Array.copy fl.fl_in_count;
+      flags = Array.make (Array.length fl.fl_in_count) 0;
+      values = Array.make fl.fl_slots Value.Dead;
+      rc = Array.copy fl.fl_rc;
+      transferred = Array.make fl.fl_slots false;
+      pinned;
+      children = [];
+    }
+  in
+  if inst.count = Array.length inst.iters then begin
+    let grown = Array.make (max 1 (2 * inst.count)) it in
+    Array.blit inst.iters 0 grown 0 inst.count;
+    inst.iters <- grown
+  end;
+  inst.iters.(inst.count) <- it;
+  inst.count <- inst.count + 1;
+  it
+
+let new_instance st frame parent ~pinned =
+  let fl = st.plan.p_frames.(frame) in
+  let inst =
+    {
+      frame;
+      parent;
+      iters = [||];
+      count = 0;
+      inv_values = Array.make fl.fl_slots Value.Dead;
+      inv_done = Array.make (Array.length fl.fl_in_count) false;
+    }
+  in
+  new_iter st inst 0 pinned
+
+let next_iter st (it : iter) =
+  let inst = it.inst in
+  if it.index + 1 < inst.count then inst.iters.(it.index + 1)
+  else
+    new_iter st inst (it.index + 1) st.plan.p_frames.(inst.frame).fl_no_pins
+
+(* Iteration 0 of the instance of [frame] entered from [it]. *)
+let child_iter st (it : iter) frame =
+  match List.find_opt (fun c -> c.frame = frame) it.children with
+  | Some c -> c.iters.(0)
+  | None ->
+      let it0 =
+        new_instance st frame (Some it)
+          ~pinned:st.plan.p_frames.(frame).fl_no_pins
+      in
+      it.children <- it0.inst :: it.children;
+      it0
+
+let parent_iter (it : iter) =
+  match it.inst.parent with Some p -> p | None -> assert false
+
+let live_add st b =
+  st.live := !(st.live) + b;
+  Mem_plan.live_add b
+
+let live_sub st b =
+  st.live := !(st.live) - b;
+  Mem_plan.live_sub b
+
+let invariants_available st g (inst : instance) =
+  Array.for_all (fun l -> inst.inv_done.(l)) st.plan.p_inv_srcs.(g)
+
+let schedule st g (it : iter) =
+  it.flags.(st.plan.p_local.(g)) <-
+    it.flags.(st.plan.p_local.(g)) lor scheduled;
   match st.sched with
-  | Some sched -> Scheduler.add sched (cn, inst, it)
+  | Some sched -> Scheduler.add sched (g, it)
   | None -> assert false
 
 (* Readiness. Per-iteration nodes fire once per (instance, iteration);
    invariant nodes fire once per instance, executing in iteration 0's
    context (their per-iteration arrivals — e.g. a constant Enter's input
-   — are always delivered at iteration 0). *)
-let check_ready st cn inst (it : iter_state) =
-  let id = cn.node.Node.id in
-  if cn.is_invariant then begin
-    if not (Hashtbl.mem inst.invariant_done id) then begin
-      let it0 = get_iter inst 0 in
-      let count = Option.value ~default:0 (Hashtbl.find_opt it0.arrived id) in
-      if count >= cn.in_count && invariants_available inst cn then begin
-        Hashtbl.replace inst.invariant_done id ();
-        schedule st cn inst it0
-      end
-    end
-  end
-  else if not (Hashtbl.mem it.done_nodes id) then begin
-    let count = Option.value ~default:0 (Hashtbl.find_opt it.arrived id) in
+   — are always delivered at iteration 0). A Merge fires on its first
+   live data input. *)
+let check_ready st g (it : iter) =
+  let p = st.plan in
+  let l = p.p_local.(g) in
+  let it = if p.p_invariant.(g) then it.inst.iters.(0) else it in
+  if it.flags.(l) land scheduled = 0 then
     let ready =
-      if cn.is_merge then
-        Hashtbl.mem it.non_dead_seen id || count >= cn.in_count
-      else count >= cn.in_count && invariants_available inst cn
+      if p.p_kind.(g) = Merge then
+        it.flags.(l) land live_input <> 0 || it.pending.(l) <= 0
+      else it.pending.(l) <= 0 && invariants_available st g it.inst
     in
-    if ready then begin
-      Hashtbl.replace it.done_nodes id ();
-      schedule st cn inst it
-    end
-  end
+    if ready then schedule st g it
 
-(* Deliver a value along one edge. [slot] = -1 encodes a control token. *)
-let deliver st ~(src : cnode) ~(v : Value.t) ~inst ~(it : iter_state)
-    ~(dst_id : int) ~(slot : int) ~(out : int) =
-  match Hashtbl.find_opt st.compiled.cnodes dst_id with
-  | None -> ()  (* consumer pruned away *)
-  | Some dst ->
-      (* Producer-side context adjustment. *)
-      let inst, iter_idx =
-        match src.node.Node.op_type with
-        | "Exit" -> (
-            match inst.inst_parent with
-            | Some (p, pi) -> (p, pi)
-            | None ->
-                raise (invalid ("Exit in root frame: " ^ src.node.Node.name)))
-        | "NextIteration" -> (inst, it.it_index + 1)
-        | _ -> (inst, it.it_index)
-      in
-      (* Consumer-side adjustment: Enter executes in the child frame. *)
-      let inst, iter_idx =
-        if dst.node.Node.op_type = "Enter" then
-          (child_instance st dst.frame inst iter_idx, 0)
-        else (inst, iter_idx)
-      in
-      let target_it = get_iter inst iter_idx in
-      let id = dst.node.Node.id in
-      if slot >= 0 then
-        Hashtbl.replace target_it.values (value_key src.node.Node.id out) v
-      else if Value.is_dead v then Hashtbl.replace target_it.dead_control id ();
-      Hashtbl.replace target_it.arrived id
-        (1 + Option.value ~default:0 (Hashtbl.find_opt target_it.arrived id));
-      if dst.is_merge && slot >= 0 && not (Value.is_dead v) then
-        Hashtbl.replace target_it.non_dead_seen id ();
-      check_ready st dst inst target_it
+(* One arrival along an edge from a producer that ran in [it]: the
+   producer-side adjustment (Exit feeds the parent iteration,
+   NextIteration the next one) is already applied; Enter moves the
+   consumer into its child frame. *)
+let deliver st (it : iter) dst ~dead ~live_merge =
+  let p = st.plan in
+  let it =
+    if p.p_kind.(dst) = Enter then child_iter st it p.p_frame.(dst) else it
+  in
+  let l = p.p_local.(dst) in
+  it.pending.(l) <- it.pending.(l) - 1;
+  if dead then it.flags.(l) <- it.flags.(l) lor dead_control;
+  if live_merge then it.flags.(l) <- it.flags.(l) lor live_input;
+  check_ready st dst it
 
-let store_invariants st (cn : cnode) inst (outputs : Value.t array) =
+let store_invariants st g (inst : instance) (outputs : Value.t array) =
+  let p = st.plan in
+  let base = p.p_slot.(g) in
   Array.iteri
     (fun out v ->
-      Hashtbl.replace inst.invariants (value_key cn.node.Node.id out) v)
+      if out < p.p_nouts.(g) then inst.inv_values.(base + out) <- v)
     outputs;
-  Hashtbl.replace inst.invariant_done cn.node.Node.id ();
+  inst.inv_done.(p.p_local.(g)) <- true;
   (* Wake consumers: invariant consumers cascade; per-iteration consumers
      are re-checked in every existing iteration. *)
-  let wake dst_id =
-    match Hashtbl.find_opt st.compiled.cnodes dst_id with
-    | None -> ()
-    | Some dst ->
-        if dst.is_invariant then check_ready st dst inst (get_iter inst 0)
-        else
-          Hashtbl.iter (fun _ it -> check_ready st dst inst it) inst.iterations
+  let wake dst =
+    for i = 0 to (if p.p_invariant.(dst) then 0 else inst.count - 1) do
+      check_ready st dst inst.iters.(i)
+    done
   in
-  List.iter (fun (_, dst_id, _) -> wake dst_id) cn.out_data;
-  List.iter wake cn.out_control
+  Array.iter (fun (_, dst) -> wake dst) p.p_data_out.(g);
+  Array.iter wake p.p_control_out.(g)
 
-(* Drop one tracked endpoint: forget the stored value so the GC can
-   reclaim it, un-count its bytes and offer the backing buffer to the
-   pool — unless an in-place grant already transferred ownership to a
-   consumer's output. Only called when every remaining reader has
-   finished (refcount zero) and the endpoint is not fetched. *)
-let drop_value st (it : iter_state) key =
-  match Hashtbl.find_opt it.values key with
-  | None -> ()
-  | Some v -> (
-      Hashtbl.remove it.values key;
-      if not (Hashtbl.mem it.transferred key) then
-        match v with
-        | Value.Tensor t ->
-            let bytes = Value.byte_size v in
-            st.live := !(st.live) - bytes;
-            Mem_plan.live_sub bytes;
-            if
-              Hashtbl.mem st.mem.mi_poolable key
-              && Dtype.is_floating (Tensor.dtype t)
-            then Buffer_pool.release_float (Tensor.float_buffer t)
-        | _ -> ())
-
-let finish_node st (cn : cnode) inst it (outputs : Value.t array) =
-  if cn.is_invariant then store_invariants st cn inst outputs
-  else begin
-    let id = cn.node.Node.id in
-    Array.iteri
-      (fun out v -> Hashtbl.replace it.values (value_key id out) v)
-      outputs;
-    (* Lifetime bookkeeping for planner-owned outputs: count the bytes
-       (always, so traces and the peak gauge are comparable with
-       planning off), arm the consumer refcount, and immediately drop
-       endpoints nobody reads. *)
-    if Hashtbl.mem st.mem.mi_fresh id then
-      Array.iteri
-        (fun out v ->
-          match v with
-          | Value.Tensor _ ->
-              let bytes = Value.byte_size v in
-              st.live := !(st.live) + bytes;
-              Mem_plan.live_add bytes;
-              let key = value_key id out in
-              let count =
-                Option.value ~default:0
-                  (Hashtbl.find_opt st.mem.mi_counts key)
-              in
-              if count > 0 then Hashtbl.replace it.rc key count
-              else if st.planning && not (Hashtbl.mem st.pinned key) then
-                drop_value st it key
-          | _ -> ())
-        outputs;
-    (* A live Exit value belongs to the parent context too, so that
-       fetches (which read the root iteration) can observe loop results
-       even when the Exit has no consumer edge. *)
-    (match (cn.node.Node.op_type, inst.inst_parent) with
-    | "Exit", Some (parent, parent_iter) ->
-        let parent_it = get_iter parent parent_iter in
-        Array.iteri
-          (fun out v ->
-            if not (Value.is_dead v) then
-              Hashtbl.replace parent_it.values
-                (value_key cn.node.Node.id out)
-                v)
-          outputs
+(* Drop one tracked endpoint all of whose readers have finished: forget
+   the stored value so the GC can reclaim it, un-count its bytes and
+   offer the backing buffer to the pool — unless it is fetched, or an
+   in-place grant already transferred ownership to a consumer's output.
+   Consumers still staged hold their own gathered references. *)
+let drop st (it : iter) a =
+  if not it.pinned.(a) then begin
+    (match it.values.(a) with
+    | Value.Tensor t when not it.transferred.(a) ->
+        live_sub st (Tensor.byte_size t);
+        if
+          st.plan.p_frames.(it.inst.frame).fl_poolable.(a)
+          && Dtype.is_floating (Tensor.dtype t)
+        then Buffer_pool.release_float (Tensor.float_buffer t)
     | _ -> ());
-    let drops_dead =
-      match cn.node.Node.op_type with
-      | "NextIteration" | "Exit" -> true
-      | _ -> false
-    in
-    List.iter
-      (fun (out, dst_id, slot) ->
-        let v =
-          if out < Array.length outputs then outputs.(out) else Value.Dead
-        in
-        if drops_dead && Value.is_dead v then ()
-        else deliver st ~src:cn ~v ~inst ~it ~dst_id ~slot ~out)
-      cn.out_data;
-    let control_dead =
-      Array.length outputs > 0 && Array.for_all Value.is_dead outputs
-    in
-    if not (drops_dead && control_dead) then
-      List.iter
-        (fun dst_id ->
-          let v = if control_dead then Value.Dead else Value.Tensor (Tensor.scalar_i 0) in
-          deliver st ~src:cn ~v ~inst ~it ~dst_id ~slot:(-1) ~out:0)
-        cn.out_control;
-    (* This node has finished reading its inputs: release its claim on
-       each tracked input endpoint. Untracked keys (cross-frame edges,
-       inputs a merge fired without) decrement nothing — leak-safe. Fed
-       nodes have no wired inputs, so their counts must not move. *)
-    if st.planning && not (Hashtbl.mem st.fed id) then
-      Array.iteri
-        (fun slot (e : Node.endpoint) ->
-          if not (List.mem slot cn.invariant_slots) then
-            let key = value_key e.node_id e.index in
-            match Hashtbl.find_opt it.rc key with
-            | None -> ()
-            | Some c when c <= 1 ->
-                Hashtbl.remove it.rc key;
-                if not (Hashtbl.mem st.pinned key) then drop_value st it key
-            | Some c -> Hashtbl.replace it.rc key (c - 1))
-        cn.node.Node.inputs
+    it.values.(a) <- Value.Dead
   end
 
-let gather_inputs (cn : cnode) inst (it : iter_state) =
-  if cn.invariant_slots == [] then
-    Array.map
-      (fun (e : Node.endpoint) ->
-        match Hashtbl.find_opt it.values (value_key e.node_id e.index) with
-        | Some v -> v
-        | None -> Value.Dead)
-      cn.node.Node.inputs
-  else
-    Array.mapi
-      (fun slot (e : Node.endpoint) ->
-        let table =
-          if List.mem slot cn.invariant_slots then inst.invariants
-          else it.values
-        in
-        match Hashtbl.find_opt table (value_key e.node_id e.index) with
-        | Some v -> v
-        | None -> Value.Dead)
-      cn.node.Node.inputs
+let finish_node st g (it : iter) (outputs : Value.t array) =
+  let p = st.plan in
+  if p.p_invariant.(g) then store_invariants st g it.inst outputs
+  else begin
+    let kind = p.p_kind.(g) in
+    let all_dead =
+      Array.length outputs > 0 && Array.for_all Value.is_dead outputs
+    in
+    (* Exit and NextIteration forward only live values, into the parent
+       and the next iteration; dead ones end the loop there. *)
+    let forwards = kind = Exit || kind = Next_iteration in
+    if not (forwards && all_dead) then begin
+      let target =
+        match kind with
+        | Exit -> parent_iter it
+        | Next_iteration -> next_iter st it
+        | _ -> it
+      in
+      let base = p.p_slot.(g) in
+      let n = min (Array.length outputs) p.p_nouts.(g) in
+      for out = 0 to n - 1 do
+        if not (forwards && Value.is_dead outputs.(out)) then
+          target.values.(base + out) <- outputs.(out)
+      done;
+      (* Lifetime bookkeeping for planner-owned outputs: count the bytes
+         (always, so traces and the peak gauge are comparable with
+         planning off), and drop endpoints nobody reads — or whose
+         readers already finished (a Merge that fired early). *)
+      if p.p_fresh.(g) then
+        for out = 0 to n - 1 do
+          match outputs.(out) with
+          | Value.Tensor t ->
+              live_add st (Tensor.byte_size t);
+              if st.planning && it.rc.(base + out) = 0 then
+                drop st it (base + out)
+          | _ -> ()
+        done;
+      Array.iter
+        (fun (out, dst) ->
+          let dead =
+            out >= Array.length outputs || Value.is_dead outputs.(out)
+          in
+          if not (forwards && dead) then
+            deliver st target dst ~dead:false
+              ~live_merge:(p.p_kind.(dst) = Merge && not dead))
+        p.p_data_out.(g);
+      Array.iter
+        (fun dst -> deliver st target dst ~dead:all_dead ~live_merge:false)
+        p.p_control_out.(g)
+    end;
+    (* This node has finished reading its inputs: release its claim on
+       each tracked input endpoint; the last reader out frees it. *)
+    if st.planning then
+      Array.iter
+        (fun a ->
+          if a >= 0 then begin
+            it.rc.(a) <- it.rc.(a) - 1;
+            if it.rc.(a) = 0 then drop st it a
+          end)
+        p.p_tracked.(g)
+  end
 
-let resolve_kernel cn =
-  match cn.kernel with
+let gather_inputs st g (it : iter) =
+  let p = st.plan in
+  let slots = p.p_inputs.(g) in
+  if p.p_kind.(g) = Enter then
+    let from = (parent_iter it).values in
+    Array.map (fun a -> from.(a)) slots
+  else
+    match p.p_inv_inputs.(g) with
+    | [||] -> Array.map (fun a -> it.values.(a)) slots
+    | inv ->
+        Array.mapi
+          (fun i a ->
+            if inv.(i) then it.inst.inv_values.(a) else it.values.(a))
+          slots
+
+let resolve_kernel p g =
+  match p.p_kernels.(g) with
   | Some k -> k
   | None ->
-      let n = cn.node in
+      let n = p.p_nodes.(g) in
       let device_type =
         match n.Node.assigned_device with
         | Some d -> d.Device.dev_type
@@ -653,7 +746,7 @@ let resolve_kernel cn =
                         (Printf.sprintf "no kernel for op %s (node %s)"
                            n.Node.op_type n.Node.name))))
       in
-      cn.kernel <- Some k;
+      p.p_kernels.(g) <- Some k;
       k
 
 (* Classify an arbitrary kernel exception into a structured failure,
@@ -719,675 +812,99 @@ let offload_kernel ~tracer ~rendezvous ~cancel ~step_id
       end;
       fun () -> raise (Step_failure.Error f)
 
+
 (* Stage one node on the coordinating thread: gather inputs, decide dead
    propagation, build the kernel context. Everything the returned
    [Offload] thunk touches is either private to it or mutex-protected
    (resources, queues, rendezvous, tracer), so it may run on a worker
    domain. *)
-let stage_node st ((cn : cnode), inst, it) =
-  let n = cn.node in
-  let inputs = gather_inputs cn inst it in
+let stage_node st (g, (it : iter)) =
+  let p = st.plan in
+  let n = p.p_nodes.(g) in
+  let inputs = gather_inputs st g it in
   let any_dead =
     Array.exists Value.is_dead inputs
-    || Hashtbl.mem it.dead_control n.Node.id
+    || it.flags.(p.p_local.(g)) land dead_control <> 0
   in
-  let runs_on_dead = n.Node.op_type = "Send" in
-  if any_dead && (not cn.is_merge) && not runs_on_dead then
-    Scheduler.Finish
-      (fun () ->
-        finish_node st cn inst it
-          (Array.make (max 1 (Node.num_outputs n)) Value.Dead))
-  else begin
-    let rng =
-      Rng.create
-        (st.seed
-        + (st.step_id * 1_000_003)
-        + (n.Node.id * 7_919)
-        + (it.it_index * 104_729))
-    in
-    (* In-place grants: a declared May_alias pair is granted when the
-       input endpoint is planner-owned, poolable (no retaining
-       consumer), this node is its sole remaining reader, and it is
-       neither fetched nor already handed away. Staging and completion
-       both run on the coordinating thread, so refcount 1 here means
-       every other consumer's kernel has fully finished reading. *)
-    let grants =
-      if not st.planning then []
-      else
-        match Kernel.aliases ~op_type:n.Node.op_type with
+  match p.p_kind.(g) with
+  | (Plain | Enter | Exit | Next_iteration) when any_dead ->
+      Scheduler.Finish
+        (fun () ->
+          finish_node st g it (Array.make p.p_nouts.(g) Value.Dead))
+  | _ ->
+      let rng =
+        Rng.create
+          (st.seed
+          + (st.step_id * 1_000_003)
+          + (n.Node.id * 7_919)
+          + (it.index * 104_729))
+      in
+      (* In-place grants: a declared May_alias pair is granted when the
+         input endpoint is planner-owned, poolable (no retaining
+         consumer), this node is its sole remaining reader, and it is
+         neither fetched nor already handed away. Staging and completion
+         both run on the coordinating thread, so refcount 1 here means
+         every other consumer's kernel has fully finished reading. *)
+      let grants =
+        match p.p_aliases.(g) with
+        | _ when not st.planning -> []
         | [] -> []
         | decls ->
+            let tracked = p.p_tracked.(g) in
+            let poolable = p.p_frames.(it.inst.frame).fl_poolable in
             let used_in = ref [] and used_out = ref [] in
             List.filter
               (fun (i, o) ->
                 (not (List.mem i !used_in))
                 && (not (List.mem o !used_out))
-                && i < Array.length n.Node.inputs
-                && (not (List.mem i cn.invariant_slots))
+                && i < Array.length tracked
                 &&
-                let e = n.Node.inputs.(i) in
-                let key = value_key e.node_id e.index in
+                let a = tracked.(i) in
                 let ok =
-                  Hashtbl.mem st.mem.mi_fresh e.node_id
-                  && Hashtbl.mem st.mem.mi_poolable key
-                  && Hashtbl.find_opt it.rc key = Some 1
-                  && (not (Hashtbl.mem st.pinned key))
-                  && (not (Hashtbl.mem it.transferred key))
+                  a >= 0 && poolable.(a)
+                  && it.rc.(a) = 1
+                  && (not it.pinned.(a))
+                  && (not it.transferred.(a))
                   &&
                   match inputs.(i) with
                   | Value.Tensor t -> Dtype.is_floating (Tensor.dtype t)
                   | _ -> false
                 in
                 if ok then begin
-                  Hashtbl.replace it.transferred key ();
-                  let bytes = Value.byte_size inputs.(i) in
-                  st.live := !(st.live) - bytes;
-                  Mem_plan.live_sub bytes;
+                  it.transferred.(a) <- true;
+                  live_sub st (Value.byte_size inputs.(i));
                   Mem_plan.count_grant ();
                   used_in := i :: !used_in;
                   used_out := o :: !used_out
                 end;
                 ok)
               decls
-    in
-    let ctx =
-      {
-        Kernel.node = n;
-        inputs;
-        resources = st.resources;
-        rendezvous = st.rendezvous;
-        rng;
-        step_id = st.step_id;
-        cancel = st.cancel;
-        grants;
-        var_snapshot = st.var_snapshot;
-      }
-    in
-    let kernel = resolve_kernel cn in
-    Scheduler.Offload
-      (fun () ->
-        offload_kernel ~tracer:st.tracer ~rendezvous:st.rendezvous
-          ~cancel:st.cancel ~step_id:st.step_id
-          ~live_of:(fun () -> !(st.live))
-          n kernel ctx
-          ~finish:(fun outputs -> finish_node st cn inst it outputs))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Plans: compile once, execute per step                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Array-indexed fast path for subgraphs with no control flow: no
-   frames, no merges, no invariants — the common training step. Only
-   dead values arriving through Recv need handling. *)
-type splan = {
-  s_nodes : cnode array;
-  s_index : (int, int) Hashtbl.t;  (* node id -> dense index *)
-  s_inputs : (int * int) array array;  (* (src dense index, out slot) *)
-  s_control_in : int array array;
-  s_consumers : int array array;  (* data + control, one entry per edge *)
-  s_in_counts : int array;
-  s_blocking : bool array;
-  s_fed : bool array;
-  s_num_outputs : int array;
-  (* Memory planning statics, indexed like [s_nodes]: *)
-  s_refcounts : int array array;  (* data consumers per (idx, out) *)
-  s_fresh : bool array;  (* outputs are planner-owned fresh buffers *)
-  s_poolable : bool array array;  (* no consumer retains the endpoint *)
-  s_aliases : (int * int) list array;  (* declared May_alias pairs *)
-}
-
-type plan = {
-  p_graph : Graph.t;
-  p_compiled : compiled;
-  p_fed : (int, unit) Hashtbl.t;
-  p_simple : splan option;
-  p_scheduler : Scheduler.policy;
-  p_planning : bool;  (* memory planning default for this plan's steps *)
-  p_mem : mem_info;  (* general-path lifetime statics *)
-}
-
-let control_flow_free compiled =
-  let ok = ref true in
-  Hashtbl.iter
-    (fun _ cn ->
-      (match cn.node.Node.op_type with
-      | "Enter" | "Exit" | "NextIteration" | "Merge" | "Switch" | "LoopCond"
-        ->
-          ok := false
-      | _ -> ());
-      if cn.is_invariant then ok := false)
-    compiled.cnodes;
-  !ok
-
-let build_splan compiled fed =
-  let count = Hashtbl.length compiled.cnodes in
-  let s_nodes = Array.make count (Obj.magic 0 : cnode) in
-  let s_index = Hashtbl.create (2 * count) in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun id cn ->
-      s_nodes.(!i) <- cn;
-      Hashtbl.replace s_index id !i;
-      incr i)
-    compiled.cnodes;
-  let dense id = Hashtbl.find s_index id in
-  let s_inputs =
-    Array.map
-      (fun cn ->
-        if Hashtbl.mem fed cn.node.Node.id then [||]
-        else
-          Array.map
-            (fun (e : Node.endpoint) -> (dense e.node_id, e.index))
-            cn.node.Node.inputs)
-      s_nodes
-  in
-  let s_control_in =
-    Array.map
-      (fun cn ->
-        if Hashtbl.mem fed cn.node.Node.id then [||]
-        else
-          Array.of_list
-            (List.filter_map
-               (fun c ->
-                 if Hashtbl.mem compiled.cnodes c then Some (dense c)
-                 else None)
-               cn.node.Node.control_inputs))
-      s_nodes
-  in
-  let s_consumers =
-    Array.map
-      (fun cn ->
-        Array.of_list
-          (List.map (fun (_, dst, _) -> dense dst) cn.out_data
-          @ List.map dense cn.out_control))
-      s_nodes
-  in
-  let s_num_outputs =
-    Array.map (fun cn -> max 1 (Node.num_outputs cn.node)) s_nodes
-  in
-  let s_fed = Array.map (fun cn -> Hashtbl.mem fed cn.node.Node.id) s_nodes in
-  let s_refcounts =
-    Array.mapi
-      (fun i cn ->
-        let rc = Array.make s_num_outputs.(i) 0 in
-        List.iter
-          (fun (out, _, _) ->
-            if out < Array.length rc then rc.(out) <- rc.(out) + 1)
-          cn.out_data;
-        rc)
-      s_nodes
-  in
-  let s_fresh =
-    Array.mapi
-      (fun i cn ->
-        (not s_fed.(i)) && Mem_plan.fresh_output_op cn.node.Node.op_type)
-      s_nodes
-  in
-  let s_poolable =
-    Array.mapi
-      (fun i cn ->
-        let p = Array.make s_num_outputs.(i) s_fresh.(i) in
-        if s_fresh.(i) then
-          List.iter
-            (fun (out, dst, _) ->
-              if out < Array.length p then
-                let dcn = Hashtbl.find compiled.cnodes dst in
-                if Mem_plan.retains_input dcn.node.Node.op_type then
-                  p.(out) <- false)
-            cn.out_data;
-        p)
-      s_nodes
-  in
-  {
-    s_nodes;
-    s_index;
-    s_inputs;
-    s_control_in;
-    s_consumers;
-    s_in_counts = Array.map (fun cn -> cn.in_count) s_nodes;
-    s_blocking = Array.map (fun cn -> blocking_op cn.node.Node.op_type) s_nodes;
-    s_fed;
-    s_num_outputs;
-    s_refcounts;
-    s_fresh;
-    s_poolable;
-    s_aliases =
-      Array.map (fun cn -> Kernel.aliases ~op_type:cn.node.Node.op_type) s_nodes;
-  }
-
-(* General-path analogue of the splan lifetime statics. Invariant nodes
-   are excluded: their outputs live in the frame instance for all
-   iterations and must never be dropped per-iteration. *)
-let build_mem_info compiled fed =
-  let mi_counts = Hashtbl.create 64 in
-  let mi_poolable = Hashtbl.create 64 in
-  let mi_fresh = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun id cn ->
-      if
-        Mem_plan.fresh_output_op cn.node.Node.op_type
-        && (not (Hashtbl.mem fed id))
-        && not cn.is_invariant
-      then begin
-        Hashtbl.replace mi_fresh id ();
-        let nouts = max 1 (Node.num_outputs cn.node) in
-        let counts = Array.make nouts 0 in
-        let pool = Array.make nouts true in
-        List.iter
-          (fun (out, dst, _) ->
-            if out < nouts then begin
-              counts.(out) <- counts.(out) + 1;
-              let dcn = Hashtbl.find compiled.cnodes dst in
-              if Mem_plan.retains_input dcn.node.Node.op_type then
-                pool.(out) <- false
-            end)
-          cn.out_data;
-        for out = 0 to nouts - 1 do
-          if counts.(out) > 0 then
-            Hashtbl.replace mi_counts (value_key id out) counts.(out);
-          if pool.(out) then Hashtbl.replace mi_poolable (value_key id out) ()
-        done
-      end)
-    compiled.cnodes;
-  { mi_counts; mi_poolable; mi_fresh }
-
-let prepare ?scheduler ?memory_planning ~graph ~nodes ~fed_ids () =
-  let fed = Hashtbl.create 8 in
-  List.iter (fun id -> Hashtbl.replace fed id ()) fed_ids;
-  let compiled = compile graph nodes fed in
-  let p_simple =
-    if control_flow_free compiled then Some (build_splan compiled fed)
-    else None
-  in
-  let p_scheduler =
-    match scheduler with Some p -> p | None -> Scheduler.default_policy ()
-  in
-  let p_planning =
-    match memory_planning with Some b -> b | None -> Mem_plan.enabled ()
-  in
-  {
-    p_graph = graph;
-    p_compiled = compiled;
-    p_fed = fed;
-    p_simple;
-    p_scheduler;
-    p_planning;
-    p_mem = build_mem_info compiled fed;
-  }
-
-let execute_simple plan sp ~planning ~scheduler ~feeds ~fetches ~resources
-    ~rendezvous ~tracer ~cancel ~seed ~step_id ~var_snapshot =
-  let count = Array.length sp.s_nodes in
-  let values = Array.make count [||] in
-  let dead = Array.make count false in
-  let pending = Array.copy sp.s_in_counts in
-  let scheduled = Array.make count false in
-  (* Per-step lifetime state. [rc] counts unfinished data consumers per
-     endpoint; byte accounting runs regardless of [planning] so peak
-     figures stay comparable, but drops, pool returns and in-place
-     grants fire only when planning is on. *)
-  let rc = Array.map Array.copy sp.s_refcounts in
-  let pinned =
-    Array.map (fun rcs -> Array.make (Array.length rcs) false) sp.s_refcounts
-  in
-  let transferred =
-    Array.map (fun rcs -> Array.make (Array.length rcs) false) sp.s_refcounts
-  in
-  List.iter
-    (fun (e : Node.endpoint) ->
-      match Hashtbl.find_opt sp.s_index e.node_id with
-      | Some idx when e.index < Array.length pinned.(idx) ->
-          pinned.(idx).(e.index) <- true
-      | _ -> ())
-    fetches;
-  let live = ref 0 in
-  let live_add b =
-    live := !live + b;
-    Mem_plan.live_add b
-  in
-  let live_sub b =
-    live := !live - b;
-    Mem_plan.live_sub b
-  in
-  (* Drop a planner-owned endpoint all of whose consumers have finished:
-     tombstone the slot (consumers still staged hold their own gathered
-     references; control consumers read the [dead] flags, fetches are
-     pinned) and recycle the float buffer unless some consumer retains
-     it or an in-place grant moved ownership. *)
-  let drop src out =
-    if sp.s_fresh.(src) && not pinned.(src).(out) then begin
-      (match values.(src).(out) with
-      | Value.Tensor t ->
-          if not transferred.(src).(out) then begin
-            live_sub (Tensor.byte_size t);
-            if
-              sp.s_poolable.(src).(out)
-              && Dtype.is_floating (Tensor.dtype t)
-            then Buffer_pool.release_float (Tensor.float_buffer t)
-          end
-      | _ -> ());
-      values.(src).(out) <- Value.Dead
-    end
-  in
-  (* The scheduler's callbacks and the node bookkeeping close over each
-     other; tie the knot through a cell filled right after creation. *)
-  let sched_cell = ref None in
-  let push idx =
-    if not scheduled.(idx) then begin
-      scheduled.(idx) <- true;
-      match !sched_cell with
-      | Some sched -> Scheduler.add sched idx
-      | None -> assert false
-    end
-  in
-  let arrive idx =
-    pending.(idx) <- pending.(idx) - 1;
-    if pending.(idx) <= 0 then push idx
-  in
-  let complete idx outputs =
-    if Array.length outputs > 0 && Array.for_all Value.is_dead outputs then
-      dead.(idx) <- true;
-    values.(idx) <- outputs;
-    (* Count fresh outputs and drop the ones nobody consumes. *)
-    if sp.s_fresh.(idx) then begin
-      let nouts = min (Array.length outputs) (Array.length rc.(idx)) in
-      for out = 0 to nouts - 1 do
-        (match outputs.(out) with
-        | Value.Tensor t -> live_add (Tensor.byte_size t)
-        | _ -> ());
-        if planning && rc.(idx).(out) = 0 then drop idx out
-      done
-    end;
-    (* This node finished reading: release its claim on each input
-       endpoint; the last reader out frees the value. *)
-    if planning then
-      Array.iter
-        (fun (src, out) ->
-          if sp.s_fresh.(src) && out < Array.length rc.(src) then begin
-            rc.(src).(out) <- rc.(src).(out) - 1;
-            if rc.(src).(out) = 0 then drop src out
-          end)
-        sp.s_inputs.(idx);
-    Array.iter arrive sp.s_consumers.(idx)
-  in
-  let stage idx =
-    let cn = sp.s_nodes.(idx) in
-    let n = cn.node in
-    let inputs =
-      Array.map (fun (src, out) -> values.(src).(out)) sp.s_inputs.(idx)
-    in
-    let any_dead =
-      Array.exists Value.is_dead inputs
-      || Array.exists (fun c -> dead.(c)) sp.s_control_in.(idx)
-    in
-    if any_dead && n.Node.op_type <> "Send" then
-      Scheduler.Finish
-        (fun () ->
-          dead.(idx) <- true;
-          complete idx (Array.make sp.s_num_outputs.(idx) Value.Dead))
-    else begin
-      let rng =
-        Rng.create (seed + (step_id * 1_000_003) + (n.Node.id * 7_919))
-      in
-      (* In-place grants — see the general path for the safety argument:
-         staging and completion both run on the coordinating thread, so
-         refcount 1 here means this node is the endpoint's only
-         unfinished reader. *)
-      let grants =
-        if not planning then []
-        else
-          match sp.s_aliases.(idx) with
-          | [] -> []
-          | decls ->
-              let used_in = ref [] and used_out = ref [] in
-              List.filter
-                (fun (i, o) ->
-                  (not (List.mem i !used_in))
-                  && (not (List.mem o !used_out))
-                  && i < Array.length sp.s_inputs.(idx)
-                  &&
-                  let src, out = sp.s_inputs.(idx).(i) in
-                  let ok =
-                    sp.s_fresh.(src)
-                    && out < Array.length rc.(src)
-                    && sp.s_poolable.(src).(out)
-                    && rc.(src).(out) = 1
-                    && (not pinned.(src).(out))
-                    && (not transferred.(src).(out))
-                    &&
-                    match inputs.(i) with
-                    | Value.Tensor t -> Dtype.is_floating (Tensor.dtype t)
-                    | _ -> false
-                  in
-                  if ok then begin
-                    transferred.(src).(out) <- true;
-                    live_sub (Value.byte_size inputs.(i));
-                    Mem_plan.count_grant ();
-                    used_in := i :: !used_in;
-                    used_out := o :: !used_out
-                  end;
-                  ok)
-                decls
       in
       let ctx =
-        { Kernel.node = n; inputs; resources; rendezvous; rng; step_id;
-          cancel; grants; var_snapshot }
+        {
+          Kernel.node = n;
+          inputs;
+          resources = st.resources;
+          rendezvous = st.rendezvous;
+          rng;
+          step_id = st.step_id;
+          cancel = st.cancel;
+          grants;
+          var_snapshot = st.var_snapshot;
+        }
       in
-      let kernel = resolve_kernel cn in
+      let kernel = resolve_kernel p g in
       Scheduler.Offload
         (fun () ->
-          offload_kernel ~tracer ~rendezvous ~cancel ~step_id
-            ~live_of:(fun () -> !live)
+          offload_kernel ~tracer:st.tracer ~rendezvous:st.rendezvous
+            ~cancel:st.cancel ~step_id:st.step_id
+            ~live_of:(fun () -> !(st.live))
             n kernel ctx
-            ~finish:(fun outputs -> complete idx outputs))
-    end
-  in
-  let ops =
-    {
-      Scheduler.classify =
-        (fun idx ->
-          if sp.s_nodes.(idx).node.Node.op_type = "Recv" then Scheduler.Recv
-          else if sp.s_blocking.(idx) then Scheduler.Blocking
-          else Scheduler.Normal);
-      stage;
-      run_blocking =
-        (fun idx ->
-          match stage idx with
-          | Scheduler.Finish k -> k ()
-          | Scheduler.Offload run -> (run ()) ());
-      poll_recv =
-        (fun idx ->
-          match rendezvous with
-          | None -> None
-          | Some r -> (
-              match
-                Rendezvous.try_recv r
-                  ~key:(recv_rendezvous_key ~step_id sp.s_nodes.(idx).node)
-              with
-              | Some v ->
-                  Some
-                    (fun () ->
-                      trace tracer sp.s_nodes.(idx).node ~step_id
-                        ~bytes_of:(fun () -> Value.byte_size v)
-                        (fun () -> ());
-                      complete idx [| v |])
-              | None -> None));
-      rendezvous;
-      cancel;
-    }
-  in
-  let sched = Scheduler.create scheduler ops in
-  sched_cell := Some sched;
-  (* Seed feeds, then sources. *)
-  List.iter
-    (fun ((e : Node.endpoint), v) ->
-      match Hashtbl.find_opt sp.s_index e.node_id with
-      | None -> ()
-      | Some idx ->
-          let outs = Array.make sp.s_num_outputs.(idx) v in
-          values.(idx) <- outs)
-    feeds;
-  Array.iteri
-    (fun idx fedp ->
-      if fedp then scheduled.(idx) <- true)
-    sp.s_fed;
-  Array.iteri
-    (fun idx fedp -> if (not fedp) && pending.(idx) = 0 then push idx)
-    sp.s_fed;
-  Array.iteri
-    (fun idx fedp ->
-      if fedp then Array.iter arrive sp.s_consumers.(idx))
-    sp.s_fed;
-  (* Whatever the step's fate, the process-wide gauges must not keep
-     counting this step's bytes, and the pool counters get synced. *)
-  Fun.protect
-    ~finally:(fun () ->
-      Mem_plan.live_sub !live;
-      live := 0;
-      Mem_plan.sync_pool_metrics ())
-    (fun () ->
-      Scheduler.drive sched;
-      List.map
-        (fun (e : Node.endpoint) ->
-          match Hashtbl.find_opt sp.s_index e.node_id with
-          | Some idx
-            when Array.length values.(idx) > e.index
-                 && not (Value.is_dead values.(idx).(e.index)) ->
-              values.(idx).(e.index)
-          | _ ->
-              raise
-                (Step_failure.error
-                   (Step_failure.Fetch_failed
-                      (Printf.sprintf
-                         "fetch %s:%d was not produced (dead value or \
-                          incomplete subgraph?)"
-                         (Graph.get plan.p_graph e.node_id).Node.name e.index))))
-        fetches)
+            ~finish:(fun outputs -> finish_node st g it outputs))
 
-let execute_general plan ~planning ~scheduler ~feeds ~fetches ~resources
-    ~rendezvous ~tracer ~cancel ~seed ~step_id ~var_snapshot =
-  let compiled = plan.p_compiled in
-  let fed_vals = Hashtbl.create 8 in
-  List.iter
-    (fun ((e : Node.endpoint), v) -> Hashtbl.replace fed_vals e.node_id v)
-    feeds;
-  let pinned = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Node.endpoint) ->
-      Hashtbl.replace pinned (value_key e.node_id e.index) ())
-    fetches;
-  let root =
-    {
-      inst_frame = root_frame;
-      inst_parent = None;
-      iterations = Hashtbl.create 4;
-      invariants = Hashtbl.create 4;
-      invariant_done = Hashtbl.create 4;
-      inst_key = "";
-    }
-  in
-  let st =
-    {
-      compiled;
-      resources;
-      rendezvous;
-      tracer;
-      cancel;
-      seed;
-      step_id;
-      var_snapshot;
-      instances = Hashtbl.create 8;
-      planning;
-      mem = plan.p_mem;
-      pinned;
-      fed = plan.p_fed;
-      live = ref 0;
-      sched = None;
-    }
-  in
-  let ops =
-    {
-      Scheduler.classify =
-        (fun ((cn : cnode), _, _) ->
-          if cn.node.Node.op_type = "Recv" then Scheduler.Recv
-          else if blocking_op cn.node.Node.op_type then Scheduler.Blocking
-          else Scheduler.Normal);
-      stage = (fun task -> stage_node st task);
-      run_blocking =
-        (fun task ->
-          match stage_node st task with
-          | Scheduler.Finish k -> k ()
-          | Scheduler.Offload run -> (run ()) ());
-      poll_recv =
-        (fun ((cn : cnode), inst, it) ->
-          match st.rendezvous with
-          | None -> None
-          | Some r -> (
-              match
-                Rendezvous.try_recv r
-                  ~key:(recv_rendezvous_key ~step_id:st.step_id cn.node)
-              with
-              | Some v ->
-                  Some
-                    (fun () ->
-                      trace st.tracer cn.node ~step_id:st.step_id
-                        ~bytes_of:(fun () -> Value.byte_size v)
-                        (fun () -> ());
-                      finish_node st cn inst it [| v |])
-              | None -> None));
-      rendezvous;
-      cancel;
-    }
-  in
-  let sched = Scheduler.create scheduler ops in
-  st.sched <- Some sched;
-  let root_it = get_iter root 0 in
-  Hashtbl.iter
-    (fun id cn ->
-      match Hashtbl.find_opt fed_vals id with
-      | Some v ->
-          Hashtbl.replace root_it.done_nodes id ();
-          let outputs = Array.make (max 1 (Node.num_outputs cn.node)) v in
-          finish_node st cn root root_it outputs
-      | None ->
-          if Hashtbl.mem plan.p_fed id then
-            (* Fed in the plan but no value given this run. *)
-            raise
-              (invalid
-                 (Printf.sprintf "missing feed for node %s" cn.node.Node.name))
-          else if cn.in_count = 0 && cn.invariant_slots = []
-                  && cn.invariant_controls = 0 && not cn.is_invariant
-          then begin
-            Hashtbl.replace root_it.done_nodes id ();
-            schedule st cn root root_it
-          end)
-    compiled.cnodes;
-  (* Recvs are retried non-blockingly so one pending value never wedges
-     the partition while other cross-device values are already here (the
-     polling lives in {!Scheduler.drive}). *)
-  Fun.protect
-    ~finally:(fun () ->
-      Mem_plan.live_sub !(st.live);
-      st.live := 0;
-      Mem_plan.sync_pool_metrics ())
-    (fun () ->
-      Scheduler.drive sched;
-      List.map
-        (fun (e : Node.endpoint) ->
-          match
-            Hashtbl.find_opt root_it.values (value_key e.node_id e.index)
-          with
-          | Some v -> v
-          | None ->
-              raise
-                (Step_failure.error
-                   (Step_failure.Fetch_failed
-                      (Printf.sprintf
-                         "fetch %s:%d was not produced (dead value or \
-                          incomplete subgraph?)"
-                         (Graph.get plan.p_graph e.node_id).Node.name e.index))))
-        fetches)
+(* ------------------------------------------------------------------ *)
+(* Step execution                                                       *)
+(* ------------------------------------------------------------------ *)
 
 let execute plan ?scheduler ?intra_op_threads ?memory_planning ~feeds ~fetches
     ~resources ?rendezvous ?tracer ?cancel ?(seed = 0) ?(step_id = 0)
@@ -1398,23 +915,117 @@ let execute plan ?scheduler ?intra_op_threads ?memory_planning ~feeds ~fetches
   (match intra_op_threads with
   | Some n -> Octf_tensor.Parallel.set_threads n
   | None -> ());
-  let scheduler =
-    match scheduler with Some p -> p | None -> plan.p_scheduler
+  let p = plan in
+  let st =
+    {
+      plan;
+      planning =
+        (match memory_planning with Some b -> b | None -> p.p_planning);
+      resources;
+      rendezvous;
+      tracer;
+      cancel;
+      seed;
+      step_id;
+      var_snapshot;
+      live = ref 0;
+      sched = None;
+    }
   in
-  let planning =
-    match memory_planning with Some b -> b | None -> plan.p_planning
+  (* Fetched endpoints are read from the root frame's iteration 0. *)
+  let root_slot (e : Node.endpoint) =
+    match Hashtbl.find_opt p.p_index e.node_id with
+    | Some g when p.p_value_frame.(g) = 0 && e.index < p.p_nouts.(g) ->
+        Some (p.p_slot.(g) + e.index)
+    | _ -> None
   in
-  match plan.p_simple with
-  | Some sp ->
-      execute_simple plan sp ~planning ~scheduler ~feeds ~fetches ~resources
-        ~rendezvous ~tracer ~cancel ~seed ~step_id ~var_snapshot
-  | None ->
-      execute_general plan ~planning ~scheduler ~feeds ~fetches ~resources
-        ~rendezvous ~tracer ~cancel ~seed ~step_id ~var_snapshot
-
-let run ?scheduler ?intra_op_threads ?memory_planning ~graph ~nodes ~feeds
-    ~fetches ~resources ?rendezvous ?cancel ?seed ?step_id () =
-  let fed_ids = List.map (fun ((e : Node.endpoint), _) -> e.node_id) feeds in
-  let plan = prepare ?scheduler ?memory_planning ~graph ~nodes ~fed_ids () in
-  execute plan ?intra_op_threads ~feeds ~fetches ~resources ?rendezvous
-    ?cancel ?seed ?step_id ()
+  let pinned = Array.make p.p_frames.(0).fl_slots false in
+  List.iter
+    (fun e -> Option.iter (fun a -> pinned.(a) <- true) (root_slot e))
+    fetches;
+  let root = new_instance st 0 None ~pinned in
+  let ops =
+    {
+      Scheduler.classify = (fun (g, _) -> p.p_cls.(g));
+      stage = stage_node st;
+      run_blocking =
+        (fun task ->
+          match stage_node st task with
+          | Scheduler.Finish k -> k ()
+          | Scheduler.Offload run -> (run ()) ());
+      poll_recv =
+        (fun (g, it) ->
+          match rendezvous with
+          | None -> None
+          | Some r -> (
+              match
+                Rendezvous.try_recv r
+                  ~key:(recv_rendezvous_key ~step_id p.p_nodes.(g))
+              with
+              | Some v ->
+                  Some
+                    (fun () ->
+                      trace tracer p.p_nodes.(g) ~step_id
+                        ~bytes_of:(fun () -> Value.byte_size v)
+                        (fun () -> ());
+                      finish_node st g it [| v |])
+              | None -> None));
+      rendezvous;
+      cancel;
+    }
+  in
+  let sched =
+    Scheduler.create
+      (match scheduler with Some s -> s | None -> p.p_scheduler)
+      ops
+  in
+  st.sched <- Some sched;
+  (* Seed feeds, then sources, then the fed values' consumers. *)
+  let fed_outputs =
+    List.filter_map
+      (fun ((e : Node.endpoint), v) ->
+        match Hashtbl.find_opt p.p_index e.node_id with
+        | Some g
+          when p.p_fed.(g) && root.flags.(p.p_local.(g)) land scheduled = 0 ->
+            root.flags.(p.p_local.(g)) <- scheduled;
+            Some (g, Array.make p.p_nouts.(g) v)
+        | _ -> None)
+      (List.rev feeds)
+  in
+  Array.iteri
+    (fun g fed ->
+      if fed && root.flags.(p.p_local.(g)) land scheduled = 0 then
+        raise (invalid ("missing feed for node " ^ p.p_nodes.(g).Node.name)))
+    p.p_fed;
+  (* Sources: invariant nodes never live in the root frame. *)
+  Array.iteri
+    (fun g f ->
+      if f = 0 && (not p.p_fed.(g)) && root.pending.(p.p_local.(g)) = 0 then
+        schedule st g root)
+    p.p_frame;
+  (* Whatever the step's fate, the process-wide gauges must not keep
+     counting this step's bytes, and the pool counters get synced. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Mem_plan.live_sub !(st.live);
+      st.live := 0;
+      Mem_plan.sync_pool_metrics ())
+    (fun () ->
+      List.iter (fun (g, outputs) -> finish_node st g root outputs) fed_outputs;
+      (* Recvs are retried non-blockingly so one pending value never
+         wedges the partition while other cross-device values are
+         already here (the polling lives in {!Scheduler.drive}). *)
+      Scheduler.drive sched;
+      List.map
+        (fun (e : Node.endpoint) ->
+          match Option.map (fun a -> root.values.(a)) (root_slot e) with
+          | Some v when not (Value.is_dead v) -> v
+          | _ ->
+              raise
+                (Step_failure.error
+                   (Step_failure.Fetch_failed
+                      (Printf.sprintf
+                         "fetch %s:%d was not produced (dead value or \
+                          incomplete subgraph?)"
+                         (Graph.get p.p_graph e.node_id).Node.name e.index))))
+        fetches)

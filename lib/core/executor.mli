@@ -36,13 +36,15 @@
     instead of deadlocking. *)
 
 type plan
-(** A compiled subgraph: readiness counts, frame assignment, resolved
-    kernels, and — when the subgraph is free of control flow — a dense
-    array-indexed execution plan. Sessions cache plans so that repeated
-    steps pay no compilation cost (§3.3: "its subgraphs are cached in
-    their respective devices"). A plan may be executed concurrently from
-    several threads; all mutable per-step state is private to
-    {!execute}. *)
+(** A compiled subgraph: every node gets a dense index, a frame and
+    static arrays for its edges, readiness counts, dead-value and frame
+    role, and memory-planning lifetimes. Each iteration of a frame
+    instance is a set of arrays over that frame's nodes, so a graph
+    without control flow runs as the root frame's iteration 0 alone.
+    Sessions cache plans so that repeated steps pay no compilation cost
+    (§3.3: "its subgraphs are cached in their respective devices"). A
+    plan may be executed concurrently from several threads; all mutable
+    per-step state is private to {!execute}. *)
 
 val prepare :
   ?scheduler:Scheduler.policy ->
@@ -68,8 +70,12 @@ val prepare :
     Assign, queues, Send) are never dropped early or aliased; fetches
     are bit-identical with planning on or off.
 
+    Fed nodes are not executed; their outputs are the fed values.
+
     @raise Step_failure.Error on malformed control flow (frame-crossing
-    edges) *)
+    edges, or an inner loop reading an enclosing loop's invariant)
+    @raise Invalid_argument if a fed/executed node's input lies outside
+    the executed subgraph. *)
 
 val execute :
   plan ->
@@ -98,30 +104,11 @@ val execute :
     [memory_planning] overrides the plan's default for this step.
     [var_snapshot] (from the pipelined session's admission control)
     redirects [Read] kernels to the variable values captured when the
-    step was admitted; updates still land on live variables. *)
+    step was admitted; updates still land on live variables.
 
-val run :
-  ?scheduler:Scheduler.policy ->
-  ?intra_op_threads:int ->
-  ?memory_planning:bool ->
-  graph:Graph.t ->
-  nodes:int list ->
-  feeds:(Node.endpoint * Value.t) list ->
-  fetches:Node.endpoint list ->
-  resources:Resource_manager.t ->
-  ?rendezvous:Rendezvous.t ->
-  ?cancel:Cancel.t ->
-  ?seed:int ->
-  ?step_id:int ->
-  unit ->
-  Value.t list
-(** [run ~graph ~nodes ~feeds ~fetches ~resources ()] executes the
-    subgraph induced by [nodes] (from {!Pruner}) and returns the value of
-    each fetch, in order. Fed nodes are not executed; their outputs are
-    the fed values. Random operations draw from a stream derived from
-    [seed], [step_id] and the node id, so a step is reproducible.
+    Returns the value of each fetch, in order. Random operations draw
+    from a stream derived from [seed], [step_id], the node id and the
+    loop iteration, so a step is reproducible.
 
-    @raise Step_failure.Error on kernel failure, deadline expiry or
-    unproduced fetches
-    @raise Invalid_argument if a fed/executed node's input lies outside
-    the executed subgraph. *)
+    @raise Step_failure.Error on kernel failure, deadline expiry, a
+    missing feed or an unproduced (dead) fetch *)

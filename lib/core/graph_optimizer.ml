@@ -799,9 +799,3 @@ let run graph ~passes ~feeds ~fetches ~targets =
     passes;
   !nodes
 
-let optimize graph ~nodes ~feeds =
-  let fed = Hashtbl.create 8 in
-  List.iter (fun (e : Node.endpoint) -> Hashtbl.replace fed e.node_id ()) feeds;
-  let _ = constant_fold graph ~nodes ~fed in
-  let _ = cse graph ~nodes ~fed in
-  ()

@@ -1016,13 +1016,5 @@ let run ?feeds ?targets ?deadline t fetches =
        ~options:(Run_options.v ?feeds ?targets ?deadline ())
        t fetches)
 
-let run_traced ?feeds ?targets ?deadline t fetches =
-  let tensors, md =
-    run_with_metadata
-      ~options:(Run_options.v ?feeds ?targets ?deadline ~trace:true ())
-      t fetches
-  in
-  (tensors, Option.get md.Run_metadata.tracer)
-
 let run_unit ?feeds ?deadline t targets =
   ignore (run ?feeds ?deadline ~targets t [])

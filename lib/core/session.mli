@@ -216,8 +216,11 @@ val run_with_metadata :
     [Tracer.total_time] of the same step's tracer — both sum the same
     per-kernel durations.
 
-    {!run}, {!run_traced} and {!run_unit} are thin wrappers over this
-    function.
+    {!run} and {!run_unit} are thin wrappers over this function. With
+    [Run_options.v ~trace:true ()] the metadata carries a {!Tracer.t}
+    holding one event per kernel invocation across every partition of
+    the step — the §5 distributed profiler; render it with
+    {!Tracer.pp_summary} or {!Tracer.to_chrome_trace}.
 
     @raise Run_error as {!run} does. *)
 
@@ -239,17 +242,6 @@ val run :
 
     @raise Run_error if a kernel fails, the deadline expires, a fetch is
     dead, or a fetch yields a reference handle rather than a tensor. *)
-
-val run_traced :
-  ?feeds:(Builder.output * Tensor.t) list ->
-  ?targets:Builder.output list ->
-  ?deadline:float ->
-  t ->
-  Builder.output list ->
-  Tensor.t list * Tracer.t
-(** Like {!run}, collecting one {!Tracer.event} per kernel invocation
-    across every partition of the step — the §5 distributed profiler.
-    Render with {!Tracer.pp_summary} or {!Tracer.to_chrome_trace}. *)
 
 val run_unit :
   ?feeds:(Builder.output * Tensor.t) list ->

@@ -8,7 +8,8 @@
     partition executor participating in a step, and renders them as a
     summary or as Chrome-trace JSON (load in chrome://tracing or
     Perfetto; one row per device). Obtain one populated from a real step
-    with {!Session.run_traced}. *)
+    with [Session.run_with_metadata ~options:(Run_options.v ~trace:true ())]
+    (see {!Session.run_with_metadata}). *)
 
 type event = {
   name : string;

@@ -161,6 +161,42 @@ let gen_program rng ~ops =
   done;
   prog
 
+(* Fetch every sink: instructions no later instruction consumes. *)
+let sinks prog k =
+  let consumed = Array.make k false in
+  for i = 0 to k - 1 do
+    let mark a = if a < k then consumed.(a) <- true in
+    match prog.(i) with
+    | Leaf _ | Fed _ -> ()
+    | Unary (_, a) | Reduce (_, a) | Transpose2 a -> mark a
+    | Binary (_, a, b') | Matmul (a, b') | Concat0 (a, b') | Choose (a, b') ->
+        mark a;
+        mark b'
+    | Add_n srcs -> List.iter mark srcs
+  done;
+  List.filter (fun i -> not consumed.(i)) (List.init k Fun.id)
+
+let apply_unary b op x =
+  match op with
+  | "Neg" -> B.neg b x
+  | "Abs" -> B.abs b x
+  | "Square" -> B.square b x
+  | "Relu" -> B.relu b x
+  | "Sigmoid" -> B.sigmoid b x
+  | "Tanh" -> B.tanh b x
+  | "Identity" -> B.identity b x
+  | "StopGradient" -> B.stop_gradient b x
+  | _ -> assert false
+
+let apply_binary b op x y =
+  match op with
+  | "Add" -> B.add b x y
+  | "Sub" -> B.sub b x y
+  | "Mul" -> B.mul b x y
+  | "Maximum" -> B.maximum b x y
+  | "Minimum" -> B.minimum b x y
+  | _ -> assert false
+
 (* Build the graph for a program prefix of length [k] and return the
    fetches (every sink, so nothing is silently unused) and the feed
    list. Leaf/feed values come from a generator re-seeded per build, so
@@ -179,27 +215,8 @@ let build_graph prog k =
           let ph = B.placeholder b Dtype.F32 in
           feeds := (ph, tensor s) :: !feeds;
           ph
-      | Unary (op, a) -> (
-          let x = outs.(a) in
-          match op with
-          | "Neg" -> B.neg b x
-          | "Abs" -> B.abs b x
-          | "Square" -> B.square b x
-          | "Relu" -> B.relu b x
-          | "Sigmoid" -> B.sigmoid b x
-          | "Tanh" -> B.tanh b x
-          | "Identity" -> B.identity b x
-          | "StopGradient" -> B.stop_gradient b x
-          | _ -> assert false)
-      | Binary (op, a, b') -> (
-          let x = outs.(a) and y = outs.(b') in
-          match op with
-          | "Add" -> B.add b x y
-          | "Sub" -> B.sub b x y
-          | "Mul" -> B.mul b x y
-          | "Maximum" -> B.maximum b x y
-          | "Minimum" -> B.minimum b x y
-          | _ -> assert false)
+      | Unary (op, a) -> apply_unary b op outs.(a)
+      | Binary (op, a, b') -> apply_binary b op outs.(a) outs.(b')
       | Matmul (a, b') -> B.matmul b outs.(a) outs.(b')
       | Reduce (op, a) -> (
           match op with
@@ -214,23 +231,73 @@ let build_graph prog k =
     in
     outs.(i) <- o
   done;
-  (* Fetch every sink: instructions no later instruction consumes. *)
-  let consumed = Array.make k false in
-  for i = 0 to k - 1 do
-    let mark a = if a < k then consumed.(a) <- true in
-    match prog.(i) with
-    | Leaf _ | Fed _ -> ()
-    | Unary (_, a) | Reduce (_, a) | Transpose2 a -> mark a
-    | Binary (_, a, b') | Matmul (a, b') | Concat0 (a, b') | Choose (a, b') ->
-        mark a;
-        mark b'
-    | Add_n srcs -> List.iter mark srcs
-  done;
-  let fetches = ref [] in
-  for i = k - 1 downto 0 do
-    if not consumed.(i) then fetches := outs.(i) :: !fetches
-  done;
-  (b, !fetches, !feeds)
+  (b, List.map (fun i -> outs.(i)) (sinks prog k), !feeds)
+
+(* The control-flow leg routes a program's fetched values through the
+   frame machinery: every sink passes through a [cond] on a fed
+   predicate (seed parity picks the branch, so the corpus covers both),
+   and the first sink is also the variable of a [while_loop] of 1-3
+   trips whose body applies a seeded op from the same pool, with the
+   other sinks (and the trip limit) passed in as loop invariants. The
+   loop reads the raw sinks, so values enter its frame straight from
+   their (often planner-owned) producers. *)
+let build_cf_graph seed prog k =
+  let b, fetches, feeds = build_graph prog k in
+  match fetches with
+  | [] -> (b, [], feeds)
+  | _ ->
+      let rng = Rng.create (5000 + seed) in
+      let unary () = unary_ops.(Rng.int rng (Array.length unary_ops)) in
+      let then_op = unary () and else_op = unary () in
+      let pred = B.placeholder b Dtype.Bool in
+      let feeds = (pred, Tensor.scalar_b (seed mod 2 = 0)) :: feeds in
+      let conds =
+        B.cond b pred ~inputs:fetches
+          ~then_:(fun b xs -> List.map (apply_unary b then_op) xs)
+          ~else_:(fun b xs -> List.map (apply_unary b else_op) xs)
+      in
+      let x0 = List.hd fetches and invariants = List.tl fetches in
+      let trips = 1 + Rng.int rng 3 in
+      let binary_op = binary_ops.(Rng.int rng (Array.length binary_ops)) in
+      let body_unary = unary () in
+      (* The body's binary op takes a partner of the loop variable's
+         shape, or a scalar, so the loop variable keeps its shape across
+         trips. *)
+      let shapes = Array.make k [||] in
+      for i = 0 to k - 1 do
+        shapes.(i) <- shape_of shapes prog.(i)
+      done;
+      let sink_shapes = List.map (fun i -> shapes.(i)) (sinks prog k) in
+      let x_shape = List.hd sink_shapes in
+      let partner =
+        match
+          List.filter
+            (fun (_, s) -> Shape.equal s x_shape || Array.length s = 0)
+            (List.mapi (fun i s -> (i, s)) (List.tl sink_shapes))
+        with
+        | [] -> None
+        | l -> Some (fst (List.nth l (Rng.int rng (List.length l))))
+      in
+      let results =
+        B.while_loop b
+          ~invariants:(B.const_f b (float_of_int trips) :: invariants)
+          ~cond:(fun b vars ->
+            match vars with
+            | i :: _ :: limit :: _ -> B.less b i limit
+            | _ -> assert false)
+          ~body:(fun b vars ->
+            match vars with
+            | i :: x :: _limit :: invs ->
+                let x' =
+                  match partner with
+                  | Some p -> apply_binary b binary_op x (List.nth invs p)
+                  | None -> apply_unary b body_unary x
+                in
+                [ B.add b i (B.ones_like b i); x' ]
+            | _ -> assert false)
+          [ B.const_f b 0.0; x0 ]
+      in
+      (b, List.nth results 1 :: conds, feeds)
 
 let configs =
   List.concat_map
@@ -254,8 +321,8 @@ let config_to_string (fusion, planning, scheduler, threads) =
 
 (* Run the program prefix under every configuration; Some description on
    the first divergence from the reference config, None if all agree. *)
-let divergence prog k =
-  let _, probe_fetches, _ = build_graph prog k in
+let divergence ~build prog k =
+  let _, probe_fetches, _ = build prog k in
   if probe_fetches = [] then None
   else begin
     let run (fusion, planning, scheduler, threads) =
@@ -264,7 +331,7 @@ let divergence prog k =
          graph: the fuse pass rewrites the graph in place at compile
          time, so sharing one graph would leak fused nodes into the
          unfused legs. *)
-      let b, fetches, feeds = build_graph prog k in
+      let b, fetches, feeds = build prog k in
       let s =
         if fusion then
           Session.create
@@ -417,7 +484,7 @@ let test_random_dags_quantized () =
           (program_to_string prog !k)
   done
 
-let test_random_dags () =
+let random_dags ~control_flow () =
   let saved = Parallel.threads () in
   Fun.protect ~finally:(fun () -> Parallel.set_threads saved) @@ fun () ->
   let graphs = 200 in
@@ -426,6 +493,10 @@ let test_random_dags () =
     let ops = 4 + Rng.int rng 11 in
     let prog = gen_program rng ~ops in
     let n = Array.length prog in
+    let divergence =
+      divergence
+        ~build:(if control_flow then build_cf_graph seed else build_graph)
+    in
     match divergence prog n with
     | None -> ()
     | Some full_msg ->
@@ -519,11 +590,14 @@ let test_pipelined_variable_updates () =
 let suite =
   [
     Alcotest.test_case "200 random DAGs, 16 configs, bit-identical" `Quick
-      test_random_dags;
+      (random_dags ~control_flow:false);
     Alcotest.test_case "200 random DAGs, quantized within error budget" `Quick
       test_random_dags_quantized;
     Alcotest.test_case "pipelined K=1/K=4/barrier bit-identical" `Quick
       test_pipelined_stateless;
     Alcotest.test_case "pipelined variable updates linearize" `Quick
       test_pipelined_variable_updates;
+    Alcotest.test_case
+      "cond and while_loop over 200 random DAGs, 16 configs, bit-identical"
+      `Quick (random_dags ~control_flow:true);
   ]

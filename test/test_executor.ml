@@ -173,6 +173,44 @@ let test_frame_crossing_rejected () =
       Alcotest.(check bool) "mentions invariants" true
         (contains (Step_failure.to_string f) "invariants")
 
+let test_inner_loop_reading_outer_invariant_rejected () =
+  (* An inner loop cannot capture an enclosing loop's invariant: the
+     inner frame runs once per outer iteration, but the invariant lives
+     once per outer instance. The plan rejects the edge up front. *)
+  let b = B.create () in
+  let limit = B.const_f b 3.0 in
+  let results =
+    B.while_loop b ~name:"outer" ~invariants:[ limit ]
+      ~cond:(fun b vars ->
+        match vars with
+        | [ i; lim ] -> B.less b i lim
+        | _ -> assert false)
+      ~body:(fun b vars ->
+        match vars with
+        | [ i; lim ] ->
+            let inner =
+              B.while_loop b ~name:"inner" ~invariants:[ lim ]
+                ~cond:(fun b vars ->
+                  match vars with
+                  | [ j; l ] -> B.less b j l
+                  | _ -> assert false)
+                ~body:(fun b vars ->
+                  match vars with
+                  | [ j; _ ] -> [ B.add b j (B.ones_like b j) ]
+                  | _ -> assert false)
+                [ B.zeros_like b i ]
+            in
+            [ B.add b i (List.hd inner) ]
+        | _ -> assert false)
+      [ B.const_f b 0.0 ]
+  in
+  let s = Session.create ~optimize:false (B.graph b) in
+  match Session.run s [ List.hd results ] with
+  | _ -> Alcotest.fail "expected the outer invariant edge to be rejected"
+  | exception Session.Run_error f ->
+      Alcotest.(check bool) "names the loop invariant" true
+        (contains (Step_failure.to_string f) "loop invariant")
+
 let test_loop_zero_iterations () =
   let b = B.create () in
   let i0 = B.const_f b 10.0 in
@@ -350,4 +388,6 @@ let suite =
       test_reproducible_random_steps;
     Alcotest.test_case "kernel error reporting" `Quick
       test_kernel_error_reporting;
+    Alcotest.test_case "inner loop reading outer invariant rejected" `Quick
+      test_inner_loop_reading_outer_invariant_rejected;
   ]

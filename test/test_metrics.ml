@@ -315,9 +315,15 @@ let test_run_options_targets_and_wrappers () =
   (match Session.run s [ read ] with
   | [ t ] -> Alcotest.(check (float 0.)) "legacy run" 2.0 (Tensor.flat_get_f t 0)
   | _ -> assert false);
-  let _, tracer = Session.run_traced s [ read ] in
-  Alcotest.(check bool) "run_traced still traces" true
-    (Tracer.events tracer <> [])
+  let _, md =
+    Session.run_with_metadata
+      ~options:(Session.Run_options.v ~trace:true ())
+      s [ read ]
+  in
+  Alcotest.(check bool) "trace option traces" true
+    (match md.Session.Run_metadata.tracer with
+    | Some tracer -> Tracer.events tracer <> []
+    | None -> false)
 
 let test_queue_metric_deltas () =
   let depth name =

@@ -4,13 +4,18 @@ open Octf_tensor
 open Octf
 module B = Builder
 
-let all_ids b = List.init (Graph.node_count (B.graph b)) (fun i -> i)
+(* Constant folding then CSE over the step that fetches [fetches]. *)
+let fold_and_cse ?(feeds = []) g fetches =
+  ignore
+    (Graph_optimizer.run g
+       ~passes:[ Graph_optimizer.Constant_fold; Graph_optimizer.Cse ]
+       ~feeds ~fetches ~targets:[])
 
 let test_constant_folding () =
   let b = B.create () in
   let x = B.add b (B.const_f b 2.0) (B.const_f b 3.0) in
   let y = B.mul b x (B.const_f b 4.0) in
-  Graph_optimizer.optimize (B.graph b) ~nodes:(all_ids b) ~feeds:[];
+  fold_and_cse (B.graph b) [ B.endpoint_of_output y ];
   (* y's producer chain must now be folded consts. *)
   let y_node = Graph.get (B.graph b) y.B.node.Node.id in
   let all_const =
@@ -31,8 +36,8 @@ let test_cse_merges_duplicates () =
   let a = B.square b x in
   let c = B.square b x in
   let y = B.add b a c in
-  Graph_optimizer.optimize (B.graph b) ~nodes:(all_ids b)
-    ~feeds:[ B.endpoint_of_output x ];
+  fold_and_cse (B.graph b) ~feeds:[ B.endpoint_of_output x ]
+    [ B.endpoint_of_output y ];
   let y_node = Graph.get (B.graph b) y.B.node.Node.id in
   Alcotest.(check int) "both inputs point at one node"
     y_node.Node.inputs.(0).Node.node_id
@@ -48,7 +53,7 @@ let test_stateful_never_merged () =
   let r1 = B.random_uniform b [| 2 |] in
   let r2 = B.random_uniform b [| 2 |] in
   let y = B.add b r1 r2 in
-  Graph_optimizer.optimize (B.graph b) ~nodes:(all_ids b) ~feeds:[];
+  fold_and_cse (B.graph b) [ B.endpoint_of_output y ];
   let y_node = Graph.get (B.graph b) y.B.node.Node.id in
   Alcotest.(check bool) "random ops stay distinct" true
     (y_node.Node.inputs.(0).Node.node_id
@@ -58,8 +63,8 @@ let test_fed_nodes_not_folded () =
   let b = B.create () in
   let x = B.placeholder b Dtype.F32 in
   let y = B.neg b x in
-  Graph_optimizer.optimize (B.graph b) ~nodes:(all_ids b)
-    ~feeds:[ B.endpoint_of_output x ];
+  fold_and_cse (B.graph b) ~feeds:[ B.endpoint_of_output x ]
+    [ B.endpoint_of_output y ];
   let y_node = Graph.get (B.graph b) y.B.node.Node.id in
   Alcotest.(check string) "still reads the placeholder" "Placeholder"
     (Graph.get (B.graph b) y_node.Node.inputs.(0).Node.node_id).Node.op_type
@@ -230,9 +235,7 @@ let test_cse_control_input_order () =
       ~inputs:[ Node.endpoint n1.Node.id 0; Node.endpoint n2.Node.id 0 ]
       ~op_type:"Add" ()
   in
-  Graph_optimizer.optimize g
-    ~nodes:(List.init (Graph.node_count g) Fun.id)
-    ~feeds:[ xe ];
+  fold_and_cse g ~feeds:[ xe ] [ Node.endpoint y.Node.id 0 ];
   let y_node = Graph.get g y.Node.id in
   Alcotest.(check int) "order-permuted control sets merged"
     y_node.Node.inputs.(0).Node.node_id
@@ -252,7 +255,7 @@ let test_multi_output_constant_fold () =
     | _ -> Alcotest.fail "split arity"
   in
   let z = B.neg b y in
-  Graph_optimizer.optimize (B.graph b) ~nodes:(all_ids b) ~feeds:[];
+  fold_and_cse (B.graph b) [ B.endpoint_of_output z ];
   let z_node = Graph.get (B.graph b) z.B.node.Node.id in
   Alcotest.(check string) "folding propagated through Split" "Const"
     (Graph.get (B.graph b) z_node.Node.inputs.(0).Node.node_id).Node.op_type;
