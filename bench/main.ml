@@ -61,7 +61,9 @@ let dispatch_bechamel () =
   let n = 1000 in
   let b, sink = build_null_graph n in
   let session =
-    Octf.Session.create ~config:(Octf.Session.Config.v ~passes:[] ()) (B.graph b)
+    Octf.Session.create
+      ~config:(Octf.Session.Config.v ~passes:[] ())
+      (B.graph b)
   in
   ignore (Octf.Session.run session [ sink ]);
   let test =
@@ -1212,8 +1214,9 @@ let quant () =
     quant_cnn ~image_size ~train_steps
   in
   let float_frozen =
-    Serving.freeze_session ~quantize:false ~inputs:[ pixels ]
-      ~outputs:[ logits ] session
+    Serving.freeze_session
+      ~config:(Octf.Session.Config.v ~quantize:false ())
+      ~inputs:[ pixels ] ~outputs:[ logits ] session
   in
   (* calibration: representative batches through the float frozen graph *)
   let cal = Octf.Quant_calibration.create () in
@@ -1231,7 +1234,8 @@ let quant () =
   let wf0 = quant_metric "octf_quant_weight_bytes_float_total" in
   let wc0 = quant_metric "octf_quant_weight_bytes_code_total" in
   let quant_frozen =
-    Serving.freeze_session ~quantize:true
+    Serving.freeze_session
+      ~config:(Octf.Session.Config.v ~quantize:true ())
       ~ranges:(Octf.Quant_calibration.ranges cal)
       ~inputs:[ pixels ] ~outputs:[ logits ] session
   in

@@ -188,8 +188,7 @@ let buffer_pool_mb_arg =
            backings; $(b,0) disables pooling. Defaults to \
            \\$OCTF_BUFFER_POOL_MB or 256.")
 
-let apply_memory planning pool_mb =
-  Option.iter Octf.Mem_plan.set_enabled planning;
+let apply_pool_limit pool_mb =
   Option.iter Octf_tensor.Buffer_pool.set_limit_mb pool_mb
 
 (* ------------------------------ fusion ----------------------------- *)
@@ -435,7 +434,7 @@ let train steps lr scheduler intra_op max_in_flight planning pool_mb fusion
     quantize deadline_ms fault fault_seed metrics stats_every net_cluster job
     task =
   apply_intra_op intra_op;
-  apply_memory planning pool_mb;
+  apply_pool_limit pool_mb;
   let module Vs = Octf_nn.Var_store in
   let deadline = deadline_of_ms deadline_ms in
   if metrics <> None || stats_every <> None then
@@ -477,7 +476,8 @@ let train steps lr scheduler intra_op max_in_flight planning pool_mb fusion
   let session =
     Octf.Cluster.session cluster
       ~config:
-        (Octf.Session.Config.v ~scheduler ?max_in_flight ?fusion ?quantize
+        (Octf.Session.Config.v ~scheduler ?memory_planning:planning
+           ?max_in_flight ?fusion ?quantize
            ?remote:(Option.map Octf_net.Runtime.runner rt)
            ())
       (B.graph b)
@@ -1018,7 +1018,7 @@ type serve_model = {
   sm_example : Rng.t -> Tensor.t list;  (* one per-example request *)
 }
 
-let serve_mnist_cnn ~train_steps ~scheduler =
+let serve_mnist_cnn ~train_steps ~config =
   let module Vs = Octf_nn.Var_store in
   let module L = Octf_nn.Layers in
   let classes = 4 and image_size = 12 and batch = 16 in
@@ -1054,11 +1054,7 @@ let serve_mnist_cnn ~train_steps ~scheduler =
     Octf_train.Optimizer.minimize store
       ~algorithm:Octf_train.Optimizer.adam_default ~lr:0.003 ~loss ()
   in
-  let session =
-    Octf.Session.create
-      ~config:(Octf.Session.Config.v ~scheduler ())
-      (B.graph b)
-  in
+  let session = Octf.Session.create ~config (B.graph b) in
   Octf.Session.run_unit session [ Vs.init_op store ];
   let rng = Rng.create 5 in
   for _ = 1 to train_steps do
@@ -1092,7 +1088,7 @@ let serve_mnist_cnn ~train_steps ~scheduler =
     sm_example = example;
   }
 
-let serve_lstm ~train_steps ~scheduler =
+let serve_lstm ~train_steps ~config =
   let module Vs = Octf_nn.Var_store in
   let units = 64 and input_dim = 32 and batch = 16 in
   let b = B.create () in
@@ -1106,11 +1102,7 @@ let serve_lstm ~train_steps ~scheduler =
   let h', c' = Octf_nn.Lstm.step cell b ~x ~h ~c in
   let loss = B.reduce_mean b (B.square b h') in
   let train_op = Octf_train.Optimizer.minimize store ~lr:0.05 ~loss () in
-  let session =
-    Octf.Session.create
-      ~config:(Octf.Session.Config.v ~scheduler ())
-      (B.graph b)
-  in
+  let session = Octf.Session.create ~config (B.graph b) in
   Octf.Session.run_unit session [ Vs.init_op store ];
   let rng = Rng.create 7 in
   for _ = 1 to train_steps do
@@ -1146,17 +1138,20 @@ let serve model train_steps clients requests max_batch max_delay_ms
     queue_capacity deadline_ms assert_batched scheduler intra_op planning
     pool_mb quantize metrics =
   apply_intra_op intra_op;
-  apply_memory planning pool_mb;
+  apply_pool_limit pool_mb;
   if metrics <> None then Octf.Metrics.set_kernel_timing true;
+  let config =
+    Octf.Session.Config.v ~scheduler ?memory_planning:planning ()
+  in
   let sm =
     match model with
-    | `Mnist_cnn -> serve_mnist_cnn ~train_steps ~scheduler
-    | `Lstm -> serve_lstm ~train_steps ~scheduler
+    | `Mnist_cnn -> serve_mnist_cnn ~train_steps ~config
+    | `Lstm -> serve_lstm ~train_steps ~config
   in
   let frozen =
     Serving.freeze_session
-      ~config:(Octf.Session.Config.v ~scheduler ())
-      ?quantize ~inputs:sm.sm_inputs ~outputs:sm.sm_outputs sm.sm_session
+      ~config:{ config with Octf.Session.Config.quantize }
+      ~inputs:sm.sm_inputs ~outputs:sm.sm_outputs sm.sm_session
   in
   let total = Octf.Graph.node_count (Octf.Session.graph sm.sm_session) in
   let kept =
@@ -1302,7 +1297,7 @@ let serve_cmd =
 
 let trace out scheduler intra_op planning pool_mb fusion metrics =
   apply_intra_op intra_op;
-  apply_memory planning pool_mb;
+  apply_pool_limit pool_mb;
   let module Vs = Octf_nn.Var_store in
   if metrics <> None then Octf.Metrics.set_kernel_timing true;
   let b = B.create () in
@@ -1319,7 +1314,9 @@ let trace out scheduler intra_op planning pool_mb fusion metrics =
   let train_op = Octf_train.Optimizer.minimize store ~lr:0.01 ~loss () in
   let session =
     Octf.Session.create
-      ~config:(Octf.Session.Config.v ~scheduler ?fusion ())
+      ~config:
+        (Octf.Session.Config.v ~scheduler ?memory_planning:planning ?fusion
+           ())
       (B.graph b)
   in
   Octf.Session.run_unit session [ Vs.init_op store ];

@@ -40,23 +40,12 @@ val restart_task : t -> job:string -> task:int -> unit
     checkpoint (§4.3) — see {!Octf_train.Supervisor}.
     @raise Step_failure.Error ([Missing_task]) for unknown tasks. *)
 
-val session :
-  ?config:Session.Config.t ->
-  ?seed:int ->
-  ?optimize:bool ->
-  ?scheduler:Scheduler.policy ->
-  ?max_in_flight:int ->
-  ?barrier:bool ->
-  ?remote:Remote.runner ->
-  t ->
-  Graph.t ->
-  Session.t
+val session : ?config:Session.Config.t -> t -> Graph.t -> Session.t
 (** A master session executing over every device in the cluster: a
     {!Session.create} whose [devices] and [resource_router] come from
-    the cluster and whose remaining knobs come from [config] (the
-    [devices]/[resource_router] fields of [config] are ignored). The
-    bare labels are the same deprecated wrappers as on
-    {!Session.create}. With [~scheduler:Scheduler.Pool] every
-    partition dispatches its ready kernels onto the one shared domain
-    pool, so a multi-task step uses all cores instead of time-slicing
-    partition threads on one. *)
+    the cluster (overriding those fields of [config]) and whose
+    remaining knobs come from [config]. With
+    [Config.v ~scheduler:Scheduler.Pool ()] every partition dispatches
+    its ready kernels onto the one shared domain pool, so a multi-task
+    step uses all cores instead of time-slicing partition threads on
+    one. *)

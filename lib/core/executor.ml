@@ -79,7 +79,7 @@ type plan = {
   p_fresh : bool array;  (* outputs are planner-owned fresh buffers *)
   p_frames : frame_layout array;
   p_scheduler : Scheduler.policy;
-  p_planning : bool;  (* memory planning default for this plan's steps *)
+  p_planning : bool;  (* lifetime-driven drops / grants enabled *)
 }
 
 let is_const_enter_node (n : Node.t) =
@@ -96,7 +96,7 @@ let blocking_op = function
   | "Recv" | "Dequeue" | "DequeueMany" | "Enqueue" | "EnqueueMany" -> true
   | _ -> false
 
-let prepare ?scheduler ?memory_planning ~graph ~nodes ~fed_ids () =
+let prepare ~scheduler ~memory_planning ~graph ~nodes ~fed_ids =
   Builtin_kernels.ensure ();
   (* Dense indices follow the id table's iteration order, which is also
      the order sources are first scheduled in. *)
@@ -360,10 +360,8 @@ let prepare ?scheduler ?memory_planning ~graph ~nodes ~fed_ids () =
       Array.map (fun nd -> Kernel.aliases ~op_type:nd.Node.op_type) nodes;
     p_fresh = fresh;
     p_frames;
-    p_scheduler =
-      (match scheduler with Some p -> p | None -> Scheduler.default_policy ());
-    p_planning =
-      (match memory_planning with Some b -> b | None -> Mem_plan.enabled ());
+    p_scheduler = scheduler;
+    p_planning = memory_planning;
   }
 
 let m_kernels =
@@ -487,7 +485,6 @@ let live_input = 4 (* a Merge received a live data input *)
 
 type step = {
   plan : plan;
-  planning : bool;  (* lifetime-driven drops / grants enabled this step *)
   resources : Resource_manager.t;
   rendezvous : Rendezvous.t option;
   tracer : Tracer.t option;
@@ -679,7 +676,7 @@ let finish_node st g (it : iter) (outputs : Value.t array) =
           match outputs.(out) with
           | Value.Tensor t ->
               live_add st (Tensor.byte_size t);
-              if st.planning && it.rc.(base + out) = 0 then
+              if p.p_planning && it.rc.(base + out) = 0 then
                 drop st it (base + out)
           | _ -> ()
         done;
@@ -698,7 +695,7 @@ let finish_node st g (it : iter) (outputs : Value.t array) =
     end;
     (* This node has finished reading its inputs: release its claim on
        each tracked input endpoint; the last reader out frees it. *)
-    if st.planning then
+    if p.p_planning then
       Array.iter
         (fun a ->
           if a >= 0 then begin
@@ -847,7 +844,7 @@ let stage_node st (g, (it : iter)) =
          every other consumer's kernel has fully finished reading. *)
       let grants =
         match p.p_aliases.(g) with
-        | _ when not st.planning -> []
+        | _ when not p.p_planning -> []
         | [] -> []
         | decls ->
             let tracked = p.p_tracked.(g) in
@@ -906,21 +903,12 @@ let stage_node st (g, (it : iter)) =
 (* Step execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let execute plan ?scheduler ?intra_op_threads ?memory_planning ~feeds ~fetches
-    ~resources ?rendezvous ?tracer ?cancel ?(seed = 0) ?(step_id = 0)
-    ?var_snapshot () =
-  (* Like TF's intra_op_parallelism_threads this is a process-wide
-     hardware knob, not per-step state: setting it here adjusts the
-     budget for this and subsequent steps. *)
-  (match intra_op_threads with
-  | Some n -> Octf_tensor.Parallel.set_threads n
-  | None -> ());
+let execute plan ~feeds ~fetches ~resources ?rendezvous ?tracer ?cancel
+    ?(seed = 0) ?(step_id = 0) ?var_snapshot () =
   let p = plan in
   let st =
     {
       plan;
-      planning =
-        (match memory_planning with Some b -> b | None -> p.p_planning);
       resources;
       rendezvous;
       tracer;
@@ -974,11 +962,7 @@ let execute plan ?scheduler ?intra_op_threads ?memory_planning ~feeds ~fetches
       cancel;
     }
   in
-  let sched =
-    Scheduler.create
-      (match scheduler with Some s -> s | None -> p.p_scheduler)
-      ops
-  in
+  let sched = Scheduler.create p.p_scheduler ops in
   st.sched <- Some sched;
   (* Seed feeds, then sources, then the fed values' consumers. *)
   let fed_outputs =

@@ -47,22 +47,19 @@ type plan
     per-step state is private to {!execute}. *)
 
 val prepare :
-  ?scheduler:Scheduler.policy ->
-  ?memory_planning:bool ->
+  scheduler:Scheduler.policy ->
+  memory_planning:bool ->
   graph:Graph.t ->
   nodes:int list ->
   fed_ids:int list ->
-  unit ->
   plan
 (** Compile the subgraph induced by [nodes]. [fed_ids] are the nodes
     whose outputs the client will feed (their inputs are not wired).
-    [scheduler] sets the plan's default policy (falling back to
-    {!Scheduler.default_policy}); {!execute} may override per step.
+    [scheduler] is the policy every step of the plan runs under.
 
-    [memory_planning] sets the plan's default for the per-step lifetime
-    analysis (falling back to {!Mem_plan.enabled}). When on, each step
-    refcounts the consumers of every planner-owned output endpoint,
-    drops stored values as their last reader finishes (recycling float
+    [memory_planning] turns on the per-step lifetime analysis. When on,
+    each step refcounts the consumers of every planner-owned output
+    endpoint, drops stored values as their last reader finishes (recycling float
     buffers through {!Octf_tensor.Buffer_pool}), and grants declared
     May_alias kernels in-place writes into exclusively-owned input
     buffers. Fetched endpoints, fed values, variable state and values
@@ -79,9 +76,6 @@ val prepare :
 
 val execute :
   plan ->
-  ?scheduler:Scheduler.policy ->
-  ?intra_op_threads:int ->
-  ?memory_planning:bool ->
   feeds:(Node.endpoint * Value.t) list ->
   fetches:Node.endpoint list ->
   resources:Resource_manager.t ->
@@ -97,11 +91,6 @@ val execute :
     the plan's [fed_ids]. [cancel] is the step's cancellation token,
     shared by every partition: deadline expiry or explicit cancellation
     makes the step raise a structured error instead of hanging.
-    [intra_op_threads] sets the {e process-wide} intra-op thread budget
-    ({!Octf_tensor.Parallel.set_threads}) before the step runs — a
-    hardware-resource knob like TensorFlow's
-    [intra_op_parallelism_threads], not per-step state.
-    [memory_planning] overrides the plan's default for this step.
     [var_snapshot] (from the pipelined session's admission control)
     redirects [Read] kernels to the variable values captured when the
     step was admitted; updates still land on live variables.

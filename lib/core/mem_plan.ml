@@ -1,7 +1,8 @@
-(* Memory-planning policy shared by both executor paths (§5 of the
-   paper; the 2015 white paper's "Common Subexpression / Memory"
-   passes): which op outputs own a fresh buffer, which consumers are
-   safe to free behind, and the process-wide enable switch + metrics.
+(* Memory-planning policy for the executor (§5 of the paper; the 2015
+   white paper's "Common Subexpression / Memory" passes): which op
+   outputs own a fresh buffer, which consumers are safe to free behind,
+   and the planner's metrics. Whether a step plans at all is a session
+   setting ([Session.Config.memory_planning]).
 
    The lifetime analysis itself lives in Executor; this module only
    answers the static questions that make dropping and reusing a stored
@@ -18,15 +19,6 @@
      rendezvous, passes the value through as its own output, or wraps
      it via a buffer-sharing reshape).  An endpoint with such a
      consumer must never hand its buffer to the pool when dropped. *)
-
-let enabled_ref =
-  ref
-    (match Sys.getenv_opt "OCTF_MEMORY_PLANNING" with
-    | Some ("0" | "off" | "false" | "no") -> false
-    | _ -> true)
-
-let enabled () = !enabled_ref
-let set_enabled v = enabled_ref := v
 
 let fresh_output_op = function
   | "Add" | "Sub" | "Mul" | "Div" | "Pow" | "Mod" | "Maximum" | "Minimum"

@@ -1,5 +1,6 @@
 (** Memory-planning policy: static aliasing/freshness facts about op
-    types, the process-wide enable switch, and the planner's metrics.
+    types and the planner's metrics. Whether steps plan at all is
+    {!Session.Config.memory_planning}.
 
     The per-execution lifetime analysis (refcounting stored values,
     dropping them when the last consumer fires, granting in-place
@@ -7,13 +8,6 @@
     {!Octf_tensor.Buffer_pool}) lives in {!Executor}; it consults this
     module for everything that is a property of the op type rather than
     of the particular execution. *)
-
-val enabled : unit -> bool
-(** Process-wide default, from [OCTF_MEMORY_PLANNING] (on unless set to
-    [0]/[off]/[false]/[no]).  [Session.create ?memory_planning] and
-    [Executor.execute ?memory_planning] override per session/step. *)
-
-val set_enabled : bool -> unit
 
 val fresh_output_op : string -> bool
 (** Every output of this op type is a freshly allocated buffer shared

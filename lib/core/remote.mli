@@ -2,9 +2,9 @@
 
     [Octf.Session] cannot depend on [Octf_net] (the network library
     depends on this one), so [Octf_net.Runtime.runner] builds this
-    record and [Session.create ~remote] consumes it. With a runner
-    installed, the session executes partitions placed on {!is_local}
-    devices in-process as usual, shares the runner's {!rendezvous} for
+    record and [Session.create] consumes it from [Config.remote]. With
+    a runner installed, the session executes partitions placed on
+    {!is_local} devices in-process as usual, shares the runner's {!rendezvous} for
     all tensor traffic (its route hook forwards cross-process sends over
     TCP), and dispatches each remote task's partitions through
     {!run_partitions} — a blocking Run_step RPC. *)

@@ -38,8 +38,8 @@ val policy_to_string : policy -> string
 
 val default_policy : unit -> policy
 (** {!Inline}, unless the [OCTF_SCHEDULER] environment variable names
-    another policy. Sessions and executors fall back to this when no
-    [?scheduler] is given. *)
+    another policy. {!Session.create} falls back to this when the
+    config's [scheduler] field is unset. *)
 
 (** {1 The dispatch engine}
 

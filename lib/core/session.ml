@@ -74,9 +74,9 @@ module Run_metadata = struct
 end
 
 (* Consolidated construction-time configuration — TensorFlow's
-   ConfigProto. [None] fields fall through to the one resolution point
-   in [create]: programmatic value > OCTF_* environment variable >
-   built-in default. *)
+   ConfigProto, and the only way to configure a session. [None] fields
+   fall through to the one resolution point in [create]: config field >
+   OCTF_* environment variable > built-in default. *)
 module Config = struct
   type t = {
     devices : Device.t list option;
@@ -84,12 +84,10 @@ module Config = struct
     seed : int option;
     passes : Graph_optimizer.pass list option;
     scheduler : Scheduler.policy option;
-    intra_op_threads : int option;
     memory_planning : bool option;
     fusion : bool option;
     quantize : bool option;
     max_in_flight : int option;
-    barrier : bool;
     remote : Remote.runner option;
   }
 
@@ -100,30 +98,25 @@ module Config = struct
       seed = None;
       passes = None;
       scheduler = None;
-      intra_op_threads = None;
       memory_planning = None;
       fusion = None;
       quantize = None;
       max_in_flight = None;
-      barrier = false;
       remote = None;
     }
 
-  let v ?devices ?resource_router ?seed ?passes ?scheduler ?intra_op_threads
-      ?memory_planning ?fusion ?quantize ?max_in_flight ?(barrier = false)
-      ?remote () =
+  let v ?devices ?resource_router ?seed ?passes ?scheduler ?memory_planning
+      ?fusion ?quantize ?max_in_flight ?remote () =
     {
       devices;
       resource_router;
       seed;
       passes;
       scheduler;
-      intra_op_threads;
       memory_planning;
       fusion;
       quantize;
       max_in_flight;
-      barrier;
       remote;
     }
 end
@@ -153,7 +146,7 @@ type t = {
   seed : int;
   passes : Graph_optimizer.pass list;
   scheduler : Scheduler.policy;
-  memory_planning : bool option;  (* None: follow Mem_plan.enabled () *)
+  memory_planning : bool;
   remote : Remote.runner option;
       (* out-of-process runtime: partitions on non-[is_local] devices
          are dispatched as Run_step RPCs instead of executor threads,
@@ -171,125 +164,94 @@ type t = {
   mutable async_seq : int;
 }
 
-let default_max_in_flight () =
-  match
-    Option.bind (Sys.getenv_opt "OCTF_MAX_IN_FLIGHT") int_of_string_opt
-  with
-  | Some k when k >= 1 -> k
-  | _ -> 1
+(* The one parser for the OCTF_* on/off switches: case-insensitive
+   1/on/true/yes and 0/off/false/no. Unset or empty keeps [default]; any
+   other value warns on stderr and keeps it too. *)
+let env_flag name ~default =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default
+  | Some s -> (
+      match String.lowercase_ascii s with
+      | "1" | "on" | "true" | "yes" -> true
+      | "0" | "off" | "false" | "no" -> false
+      | _ ->
+          Printf.eprintf "octf: %s: expected on or off, got %S; using %s\n%!"
+            name s
+            (if default then "on" else "off");
+          default)
 
-(* OCTF_FUSION gates the elementwise fuse pass when the caller does not
-   pass an explicit pipeline; same spelling as OCTF_MEMORY_PLANNING. *)
-let default_fusion () =
-  match Sys.getenv_opt "OCTF_FUSION" with
-  | Some ("0" | "off" | "false" | "no") -> false
-  | _ -> true
+let env_max_in_flight () =
+  match Sys.getenv_opt "OCTF_MAX_IN_FLIGHT" with
+  | None | Some "" -> 1
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some k when k >= 1 -> k
+      | _ ->
+          Printf.eprintf
+            "octf: OCTF_MAX_IN_FLIGHT must be a positive integer, got %S; \
+             using 1\n\
+             %!"
+            s;
+          1)
 
-(* OCTF_QUANTIZE gates the int8 quantize pass when the caller does not
-   pass an explicit pipeline. Unlike fusion it defaults OFF: quantized
-   kernels change numerics, so the user must opt in. (The pass is also
-   inert on training graphs — it only rewrites contractions whose
-   weights are F32 Consts, which freezing produces.) *)
-let default_quantize () =
-  match Sys.getenv_opt "OCTF_QUANTIZE" with
-  | Some ("1" | "on" | "true" | "yes") -> true
-  | _ -> false
+let resolve field name ~default =
+  match field with Some b -> b | None -> env_flag name ~default
 
-let create ?(config = Config.default) ?devices ?resource_router ?seed
-    ?optimize ?passes ?scheduler ?intra_op_threads ?memory_planning ?fusion
-    ?quantize ?max_in_flight ?barrier ?remote graph =
-  (* The one resolution point for every construction knob. Precedence:
-     legacy label (deprecated wrappers) > [config] field > OCTF_* env >
-     built-in default. The env lookups live in the per-field defaulting
-     helpers ([Scheduler.default_policy], [Mem_plan.enabled],
-     [default_max_in_flight]). *)
-  let pick legacy field =
-    match legacy with Some _ -> legacy | None -> field
-  in
-  let devices = pick devices config.Config.devices in
-  let resource_router = pick resource_router config.Config.resource_router in
-  let seed =
-    match pick seed config.Config.seed with Some s -> s | None -> 42
-  in
-  let fusion =
-    match pick fusion config.Config.fusion with
-    | Some b -> b
-    | None -> default_fusion ()
-  in
-  let quantize =
-    match pick quantize config.Config.quantize with
-    | Some b -> b
-    | None -> default_quantize ()
-  in
+(* The int8 quantize pass defaults OFF, unlike fusion: quantized kernels
+   change numerics, so the user must opt in. (The pass is also inert on
+   training graphs — it only rewrites contractions whose weights are F32
+   Consts, which freezing produces.) *)
+let quantize_enabled (config : Config.t) =
+  resolve config.quantize "OCTF_QUANTIZE" ~default:false
+
+(* The one resolution point for every construction knob: config field >
+   OCTF_* environment variable > built-in default. *)
+let create ?(config = Config.default) graph =
+  let c = config in
   let passes =
-    match pick passes config.Config.passes with
+    match c.passes with
     | Some ps -> ps
-    | None -> (
-        match optimize with
-        | Some false -> [] (* legacy ~optimize:false: prune only *)
-        | _ ->
-            let base =
-              if fusion then Graph_optimizer.fused_pipeline
-              else Graph_optimizer.default_pipeline
-            in
-            if quantize then
-              base
-              @ [ Graph_optimizer.Quantize (fun _ -> None);
-                  Graph_optimizer.Prune ]
-            else base)
+    | None ->
+        let base =
+          if resolve c.fusion "OCTF_FUSION" ~default:true then
+            Graph_optimizer.fused_pipeline
+          else Graph_optimizer.default_pipeline
+        in
+        if quantize_enabled c then
+          base
+          @ [ Graph_optimizer.Quantize (fun _ -> None); Graph_optimizer.Prune ]
+        else base
   in
-  let scheduler = pick scheduler config.Config.scheduler in
-  let intra_op_threads = pick intra_op_threads config.Config.intra_op_threads in
-  let memory_planning = pick memory_planning config.Config.memory_planning in
-  let max_in_flight = pick max_in_flight config.Config.max_in_flight in
-  let barrier =
-    match barrier with Some b -> b | None -> config.Config.barrier
-  in
-  let remote = pick remote config.Config.remote in
-  (* Process-wide hardware knob, mirroring TF's
-     intra_op_parallelism_threads in ConfigProto. *)
-  (match intra_op_threads with
-  | Some n -> Octf_tensor.Parallel.set_threads n
-  | None -> ());
-  let scheduler =
-    match scheduler with Some p -> p | None -> Scheduler.default_policy ()
+  let max_in_flight =
+    match c.max_in_flight with
+    | Some k when k >= 1 -> k
+    | Some k ->
+        invalid_arg (Printf.sprintf "Session.create: max_in_flight %d < 1" k)
+    | None -> env_max_in_flight ()
   in
   let default_resources = Resource_manager.create () in
-  let devices =
-    match devices with
-    | Some ds when ds <> [] -> ds
-    | _ -> [ Device.make ~job:"localhost" ~task:0 ~index:0 Device.CPU ]
-  in
-  let resource_router =
-    match resource_router with
-    | Some f -> f
-    | None -> fun _ -> default_resources
-  in
-  (* Barrier mode pins the pipeline to one step in flight: async steps
-     serialize and read live variables, so results are bit-identical to
-     the pre-pipelining session whatever [max_in_flight] asked for. *)
-  let max_in_flight =
-    if barrier then 1
-    else
-      match max_in_flight with
-      | Some k when k >= 1 -> k
-      | Some k ->
-          invalid_arg
-            (Printf.sprintf "Session.create: max_in_flight %d < 1" k)
-      | None -> default_max_in_flight ()
-  in
   {
     graph;
-    devices;
-    resource_router;
+    devices =
+      (match c.devices with
+      | Some (_ :: _ as ds) -> ds
+      | _ -> [ Device.make ~job:"localhost" ~task:0 ~index:0 Device.CPU ]);
+    resource_router =
+      (match c.resource_router with
+      | Some f -> f
+      | None -> fun _ -> default_resources);
     default_resources;
     cache = Hashtbl.create 8;
     step_counter = 0;
-    seed;
+    seed = Option.value c.seed ~default:42;
     passes;
-    scheduler;
-    memory_planning;
-    remote;
+    scheduler =
+      (match c.scheduler with
+      | Some p -> p
+      | None -> Scheduler.default_policy ());
+    memory_planning =
+      resolve c.memory_planning "OCTF_MEMORY_PLANNING" ~default:true;
+    remote = c.remote;
     drained_to = 0;
     mutex = Mutex.create ();
     max_in_flight;
@@ -349,7 +311,7 @@ let compile t ~feed_eps ~fetch_eps ~target_ids =
   let prepare ~graph ~nodes ~fed_ids =
     try
       Executor.prepare ~scheduler:t.scheduler
-        ?memory_planning:t.memory_planning ~graph ~nodes ~fed_ids ()
+        ~memory_planning:t.memory_planning ~graph ~nodes ~fed_ids
     with Step_failure.Error f -> raise (Run_error f)
   in
   match devs with
@@ -439,6 +401,102 @@ let value_to_tensor ~what v =
            (Step_failure.Fetch_failed
               (Printf.sprintf "fetch %s produced a dead value" what)))
 
+(* The fetched tensors of a step, in [fetches] order, from the
+   endpoint/value pairs its partitions returned. *)
+let tensors_of ~missing fetches fetch_eps pairs =
+  List.map2
+    (fun (o : Builder.output) e ->
+      let what = o.Builder.node.Node.name in
+      match List.assoc_opt e pairs with
+      | Some v -> value_to_tensor ~what v
+      | None ->
+          raise
+            (run_error ~node:what (Step_failure.Fetch_failed (missing ^ what))))
+    fetches fetch_eps
+
+let resources_of_device t = function
+  | Some d -> t.resource_router d
+  | None -> t.default_resources
+
+(* The one runner for this process's share of a partitioned step, used
+   by the chief ([run_with]) and by a served step ([run_serve]): each of
+   [parts] runs on its own executor thread and each of [rpcs] (the
+   chief's Run_step calls, one per remote task) on a thread of its own.
+   Returns every fetched endpoint with its value, or the root-cause
+   failure. A failure cancels the step's token, and aborts [rendezvous]
+   when it is private to the step. The shared rendezvous of an
+   out-of-process runtime is never aborted: the abort is sticky and
+   would poison every later step, so the cancel token wakes this step's
+   parked receivers instead. *)
+let run_partitions t ~step_id ~rendezvous ~tracer ~cancel ~var_snapshot
+    ~feeds ~fetches ~rpcs parts =
+  let results = ref [] and errors = ref [] in
+  let mutex = Mutex.create () in
+  let record_results pairs =
+    Mutex.protect mutex (fun () -> results := pairs @ !results)
+  in
+  let record_failure (f : Step_failure.t) =
+    let msg = Step_failure.to_string f in
+    if Option.is_none t.remote then Rendezvous.abort rendezvous ~reason:msg;
+    Option.iter (fun c -> Cancel.cancel c ~reason:msg) cancel;
+    Mutex.protect mutex (fun () -> errors := f :: !errors)
+  in
+  let run_part ((p : Partition.partition), plan) =
+    let local e = Partition.find_endpoint p e in
+    let local_feeds =
+      List.filter_map
+        (fun (e, v) -> Option.map (fun l -> (l, v)) (local e))
+        feeds
+    in
+    let local_fetches =
+      List.filter_map (fun e -> Option.map (fun l -> (e, l)) (local e)) fetches
+    in
+    let device = Device.to_string p.Partition.device in
+    match
+      Executor.execute plan ~feeds:local_feeds
+        ~fetches:(List.map snd local_fetches)
+        ~resources:(t.resource_router p.Partition.device)
+        ~rendezvous ?tracer ?cancel ~seed:t.seed ~step_id ?var_snapshot ()
+    with
+    | vs ->
+        record_results
+          (List.map2 (fun (orig, _) v -> (orig, v)) local_fetches vs)
+    | exception Step_failure.Error f ->
+        record_failure
+          (if f.Step_failure.device = None then
+             { f with Step_failure.device = Some device }
+           else f)
+    | exception Rendezvous.Aborted reason ->
+        record_failure
+          (Step_failure.v ~device (Step_failure.Rendezvous_aborted reason))
+    | exception e ->
+        record_failure
+          (Step_failure.v ~device
+             (Step_failure.Kernel_failed (Printexc.to_string e)))
+  in
+  let run_rpc call =
+    match call () with
+    | Ok pairs -> record_results pairs
+    | Error f -> record_failure f
+  in
+  let threads =
+    List.map (Thread.create run_part) parts
+    @ List.map (Thread.create run_rpc) rpcs
+  in
+  List.iter Thread.join threads;
+  (* Prefer the root cause: a partition's own failure over the "peer
+     aborted me" / "step was cancelled" collateral. *)
+  match
+    List.stable_sort
+      (fun (a : Step_failure.t) b ->
+        compare
+          (Step_failure.is_secondary a.Step_failure.cause)
+          (Step_failure.is_secondary b.Step_failure.cause))
+      (List.rev !errors)
+  with
+  | f :: _ -> Error f
+  | [] -> Ok !results
+
 let run_with ?tracer ?deadline ?cancel:parent ?var_snapshot ?(feeds = [])
     ?(targets = []) t fetches =
   let fetches_tagged, fetches, feed_eps, fetch_eps, target_ids =
@@ -498,177 +556,71 @@ let run_with ?tracer ?deadline ?cancel:parent ?var_snapshot ?(feeds = [])
     match step with
     | Local { plan = _; device = Some d } when device_is_remote d -> (
         (* the whole pruned step lives on a remote task *)
-        let r = Option.get t.remote in
-        match call_remote r ~job:d.Device.job ~task:d.Device.task with
+        match
+          call_remote (Option.get t.remote) ~job:d.Device.job
+            ~task:d.Device.task
+        with
         | Error f -> raise (Run_error f)
         | Ok pairs ->
-            List.map2
-              (fun (o : Builder.output) e ->
-                match List.assoc_opt e pairs with
-                | Some v ->
-                    value_to_tensor ~what:o.Builder.node.Node.name v
-                | None ->
-                    raise
-                      (run_error ~node:o.Builder.node.Node.name
-                         (Step_failure.Fetch_failed
-                            ("fetch not returned by remote task: "
-                           ^ o.Builder.node.Node.name))))
-              fetches fetch_eps)
+            tensors_of ~missing:"fetch not returned by remote task: " fetches
+              fetch_eps pairs)
     | Local { plan; device } ->
-      let resources =
-        match device with
-        | Some d -> t.resource_router d
-        | None -> t.default_resources
-      in
-      let values =
-        try
-          Executor.execute plan ~feeds:feed_vals ~fetches:fetch_eps
-            ~resources ?tracer ?cancel ~seed:t.seed ~step_id ?var_snapshot
-            ()
-        with Step_failure.Error f -> raise (Run_error f)
-      in
-      List.map2
-        (fun (o : Builder.output) v ->
-          value_to_tensor ~what:o.Builder.node.Node.name v)
-        fetches values
-  | Distributed parts ->
-      (* With an out-of-process runtime the step uses the shared routed
-         rendezvous (never aborted — teardown is per step, via the
-         cancel token); otherwise a private per-step one. *)
-      let rendezvous =
-        match t.remote with
-        | Some r -> r.Remote.rendezvous
-        | None -> Rendezvous.create ()
-      in
-      let results : (string, (Node.endpoint * Value.t) list) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      let errors = ref [] in
-      let results_mutex = Mutex.create () in
-      let record_failure (f : Step_failure.t) =
-        let msg = Step_failure.to_string f in
-        (* A shared rendezvous must never be aborted — the abort is
-           sticky and would poison every later step. The cancel token
-           wakes this step's parked receivers instead. *)
-        if Option.is_none t.remote then
-          Rendezvous.abort rendezvous ~reason:msg;
-        Option.iter (fun c -> Cancel.cancel c ~reason:msg) cancel;
-        Mutex.lock results_mutex;
-        errors := f :: !errors;
-        Mutex.unlock results_mutex
-      in
-      let run_part ((p : Partition.partition), plan) =
-        let local_feeds =
-          List.filter_map
-            (fun ((e : Node.endpoint), v) ->
-              match Partition.find_endpoint p e with
-              | Some local -> Some (local, v)
-              | None -> None)
-            feed_vals
+        let values =
+          try
+            Executor.execute plan ~feeds:feed_vals ~fetches:fetch_eps
+              ~resources:(resources_of_device t device) ?tracer ?cancel
+              ~seed:t.seed ~step_id ?var_snapshot ()
+          with Step_failure.Error f -> raise (Run_error f)
         in
-        let local_fetches =
-          List.filter_map
-            (fun e ->
-              match Partition.find_endpoint p e with
-              | Some local -> Some (e, local)
-              | None -> None)
-            fetch_eps
+        List.map2
+          (fun (o : Builder.output) v ->
+            value_to_tensor ~what:o.Builder.node.Node.name v)
+          fetches values
+    | Distributed parts ->
+        (* With an out-of-process runtime the step uses the shared
+           routed rendezvous, and partitions on devices owned by other
+           processes collapse into one Run_step RPC per remote task.
+           Otherwise every partition runs here on a private per-step
+           rendezvous. *)
+        let rendezvous, local_parts, rpcs =
+          match t.remote with
+          | None -> (Rendezvous.create (), parts, [])
+          | Some r ->
+              let mine, theirs =
+                List.partition
+                  (fun ((p : Partition.partition), _) ->
+                    r.Remote.is_local p.Partition.device)
+                  parts
+              in
+              let tasks =
+                List.sort_uniq compare
+                  (List.map
+                     (fun ((p : Partition.partition), _) ->
+                       let d = p.Partition.device in
+                       (d.Device.job, d.Device.task))
+                     theirs)
+              in
+              ( r.Remote.rendezvous,
+                mine,
+                List.map
+                  (fun (job, task) () -> call_remote r ~job ~task)
+                  tasks )
         in
-        let device = Device.to_string p.Partition.device in
-        try
-          let vs =
-            Executor.execute plan ~feeds:local_feeds
-              ~fetches:(List.map snd local_fetches)
-              ~resources:(t.resource_router p.Partition.device)
-              ~rendezvous ?tracer ?cancel ~seed:t.seed ~step_id
-              ?var_snapshot ()
-          in
-          Mutex.lock results_mutex;
-          Hashtbl.replace results device
-            (List.map2 (fun (orig, _) v -> (orig, v)) local_fetches vs);
-          Mutex.unlock results_mutex
-        with
-        | Step_failure.Error f ->
-            record_failure
-              (if f.Step_failure.device = None then
-                 { f with Step_failure.device = Some device }
-               else f)
-        | Rendezvous.Aborted reason ->
-            record_failure
-              (Step_failure.v ~device (Step_failure.Rendezvous_aborted reason))
-        | e ->
-            record_failure
-              (Step_failure.v ~device
-                 (Step_failure.Kernel_failed (Printexc.to_string e)))
-      in
-      (* Partitions on devices owned by other processes collapse into
-         one Run_step RPC per remote task; the rest run on executor
-         threads here as before. *)
-      let local_parts, remote_tasks =
-        match t.remote with
-        | None -> (parts, [])
-        | Some r ->
-            ( List.filter
-                (fun ((p : Partition.partition), _) ->
-                  r.Remote.is_local p.Partition.device)
-                parts,
-              List.sort_uniq compare
-                (List.filter_map
-                   (fun ((p : Partition.partition), _) ->
-                     if r.Remote.is_local p.Partition.device then None
-                     else
-                       Some
-                         ( p.Partition.device.Device.job,
-                           p.Partition.device.Device.task ))
-                   parts) )
-      in
-      let run_remote (job, task) =
-        let r = Option.get t.remote in
-        match call_remote r ~job ~task with
+        let outcome =
+          run_partitions t ~step_id ~rendezvous ~tracer ~cancel ~var_snapshot
+            ~feeds:feed_vals ~fetches:fetch_eps ~rpcs local_parts
+        in
+        (* Scrub entries this step leaked (sends whose Recv died with the
+           step); essential on the long-lived shared rendezvous, keeps
+           the pending gauge honest on private ones. *)
+        (match t.remote with
+        | Some r -> r.Remote.retire_step ~step_id
+        | None -> ignore (Rendezvous.drop_step rendezvous ~step_id));
+        (match outcome with
         | Ok pairs ->
-            Mutex.lock results_mutex;
-            Hashtbl.replace results (Printf.sprintf "rpc:%s/%d" job task)
-              pairs;
-            Mutex.unlock results_mutex
-        | Error f -> record_failure f
-      in
-      let threads =
-        List.map (fun p -> Thread.create run_part p) local_parts
-        @ List.map (fun rt -> Thread.create run_remote rt) remote_tasks
-      in
-      List.iter Thread.join threads;
-      (* Scrub entries this step leaked (sends whose Recv died with the
-         step); essential on the long-lived shared rendezvous, keeps
-         the pending gauge honest on private ones. *)
-      (match t.remote with
-      | Some r -> r.Remote.retire_step ~step_id
-      | None -> ignore (Rendezvous.drop_step rendezvous ~step_id));
-      (* Prefer the root cause: a partition's own failure over the
-         "peer aborted me" / "step was cancelled" collateral. *)
-      (match
-         List.stable_sort
-           (fun (a : Step_failure.t) b ->
-             compare
-               (Step_failure.is_secondary a.Step_failure.cause)
-               (Step_failure.is_secondary b.Step_failure.cause))
-           (List.rev !errors)
-       with
-      | f :: _ -> raise (Run_error f)
-      | [] -> ());
-      let all_results =
-        Hashtbl.fold (fun _ l acc -> l @ acc) results []
-      in
-      List.map2
-        (fun (o : Builder.output) e ->
-          match List.assoc_opt e all_results with
-          | Some v -> value_to_tensor ~what:o.Builder.node.Node.name v
-          | None ->
-              raise
-                (run_error ~node:o.Builder.node.Node.name
-                   (Step_failure.Fetch_failed
-                      ("fetch not produced by any partition: "
-                      ^ o.Builder.node.Node.name))))
-        fetches fetch_eps
+            tensors_of ~missing:"fetch not produced by any partition: "
+              fetches fetch_eps pairs
+        | Error f -> raise (Run_error f))
   in
   let results =
     match cancel with
@@ -882,128 +834,45 @@ let drain t =
    structured [Error] values — this function never raises. *)
 let run_serve t ~step_id ~feeds ~fetches ~targets ~cancel () =
   try
-    let feed_eps = List.map fst feeds in
-    let fetch_eps = fetches in
-    let target_ids = targets in
     let r =
       match t.remote with
       | Some r -> r
-      | None ->
-          raise
-            (run_error
-               (Step_failure.Invalid_graph
-                  "run_serve on a session without a remote runner"))
+      | None -> raise (invalid "run_serve on a session without a remote runner")
     in
-    let step = find_or_compile t ~feed_eps ~fetch_eps ~target_ids in
+    let step =
+      find_or_compile t ~feed_eps:(List.map fst feeds) ~fetch_eps:fetches
+        ~target_ids:targets
+    in
     let feed_vals =
       List.map (fun (e, tensor) -> (e, Value.Tensor tensor)) feeds
     in
+    let rejected msg =
+      Error (Step_failure.v (Step_failure.Invalid_graph msg))
+    in
     match step with
+    | Local { device = Some d; _ } when not (r.Remote.is_local d) ->
+        rejected "served step is placed on a device of another task"
     | Local { plan; device } ->
         (* the chief decided the whole step lives here *)
-        let ours =
-          match device with None -> true | Some d -> r.Remote.is_local d
+        let values =
+          Executor.execute plan ~feeds:feed_vals ~fetches
+            ~resources:(resources_of_device t device)
+            ~rendezvous:r.Remote.rendezvous ~cancel ~seed:t.seed ~step_id ()
         in
-        if not ours then
-          Error
-            (Step_failure.v
-               (Step_failure.Invalid_graph
-                  "served step is placed on a device of another task"))
-        else
-          let resources =
-            match device with
-            | Some d -> t.resource_router d
-            | None -> t.default_resources
-          in
-          let values =
-            Executor.execute plan ~feeds:feed_vals ~fetches:fetch_eps
-              ~resources ~rendezvous:r.Remote.rendezvous ~cancel ~seed:t.seed
-              ~step_id ()
-          in
-          Ok (List.combine fetch_eps values)
-    | Distributed parts ->
-        let my_parts =
+        Ok (List.combine fetches values)
+    | Distributed parts -> (
+        match
           List.filter
             (fun ((p : Partition.partition), _) ->
               r.Remote.is_local p.Partition.device)
             parts
-        in
-        if my_parts = [] then
-          Error
-            (Step_failure.v
-               (Step_failure.Invalid_graph
-                  "no partition of the served step is placed on this task"))
-        else begin
-          let results = ref [] in
-          let errors = ref [] in
-          let results_mutex = Mutex.create () in
-          let record_failure (f : Step_failure.t) =
-            (* shared rendezvous: never aborted — wake our parked
-               receivers through the serve token instead *)
-            Cancel.cancel cancel ~reason:(Step_failure.to_string f);
-            Mutex.lock results_mutex;
-            errors := f :: !errors;
-            Mutex.unlock results_mutex
-          in
-          let run_part ((p : Partition.partition), plan) =
-            let local_feeds =
-              List.filter_map
-                (fun ((e : Node.endpoint), v) ->
-                  match Partition.find_endpoint p e with
-                  | Some local -> Some (local, v)
-                  | None -> None)
-                feed_vals
-            in
-            let local_fetches =
-              List.filter_map
-                (fun e ->
-                  match Partition.find_endpoint p e with
-                  | Some local -> Some (e, local)
-                  | None -> None)
-                fetch_eps
-            in
-            let device = Device.to_string p.Partition.device in
-            try
-              let vs =
-                Executor.execute plan ~feeds:local_feeds
-                  ~fetches:(List.map snd local_fetches)
-                  ~resources:(t.resource_router p.Partition.device)
-                  ~rendezvous:r.Remote.rendezvous ~cancel ~seed:t.seed
-                  ~step_id ()
-              in
-              Mutex.lock results_mutex;
-              results :=
-                List.map2 (fun (orig, _) v -> (orig, v)) local_fetches vs
-                @ !results;
-              Mutex.unlock results_mutex
-            with
-            | Step_failure.Error f ->
-                record_failure
-                  (if f.Step_failure.device = None then
-                     { f with Step_failure.device = Some device }
-                   else f)
-            | Rendezvous.Aborted reason ->
-                record_failure
-                  (Step_failure.v ~device
-                     (Step_failure.Rendezvous_aborted reason))
-            | e ->
-                record_failure
-                  (Step_failure.v ~device
-                     (Step_failure.Kernel_failed (Printexc.to_string e)))
-          in
-          let threads = List.map (fun p -> Thread.create run_part p) my_parts in
-          List.iter Thread.join threads;
-          match
-            List.stable_sort
-              (fun (a : Step_failure.t) b ->
-                compare
-                  (Step_failure.is_secondary a.Step_failure.cause)
-                  (Step_failure.is_secondary b.Step_failure.cause))
-              (List.rev !errors)
-          with
-          | f :: _ -> Error f
-          | [] -> Ok !results
-        end
+        with
+        | [] ->
+            rejected "no partition of the served step is placed on this task"
+        | mine ->
+            run_partitions t ~step_id ~rendezvous:r.Remote.rendezvous
+              ~tracer:None ~cancel:(Some cancel) ~var_snapshot:None
+              ~feeds:feed_vals ~fetches ~rpcs:[] mine)
   with
   | Run_error f | Step_failure.Error f -> Error f
   | e -> Error (Step_failure.v (Step_failure.Kernel_failed (Printexc.to_string e)))

@@ -22,9 +22,9 @@
     (a copy-on-write [(value, version)] pair, so snapshots are O(1)):
     its [Read] kernels see the admission-time versions while its
     updates apply to the live variables in completion order. At K = 1
-    — the default, and forced by [barrier:true] — async steps
-    serialize and read live state, bit-identical to the synchronous
-    session. {!drain} quiesces the pipeline (checkpointing, shutdown). *)
+    — the default — async steps serialize and read live state,
+    bit-identical to the synchronous session. {!drain} quiesces the
+    pipeline (checkpointing, shutdown). *)
 
 open Octf_tensor
 
@@ -36,12 +36,14 @@ exception Run_error of Step_failure.t
     exception carrying the failing node, its device, and a structured
     cause. Render with {!Step_failure.to_string}. *)
 
-(** Consolidated construction-time configuration — TensorFlow's
-    [ConfigProto]. One record replaces the sprawl of optional arguments
-    on {!create}; [None] fields fall through to {!create}'s single
-    resolution point, whose precedence is: legacy {!create} label
-    (deprecated wrappers) > [Config] field > [OCTF_*] environment
-    variable > built-in default. CLI front-ends should build a [Config]
+(** Construction-time configuration — TensorFlow's [ConfigProto], and
+    the only way to configure a session. [None] fields fall through to
+    {!create}'s single resolution point, whose precedence is: [Config]
+    field > [OCTF_*] environment variable > built-in default. The
+    on/off variables accept [1]/[on]/[true]/[yes] and
+    [0]/[off]/[false]/[no] in any case; any other value, like a
+    non-positive [OCTF_MAX_IN_FLIGHT], warns on stderr and keeps the
+    default. CLI front-ends should build a [Config]
     with [Some] only for flags the user actually passed, so unset flags
     keep honoring the environment. *)
 module Config : sig
@@ -63,17 +65,11 @@ module Config : sig
             [OCTF_SCHEDULER] says otherwise. [Scheduler.Pool] runs
             independent kernels of one step in parallel with
             bit-identical results. *)
-    intra_op_threads : int option;
-        (** {e process-wide} intra-op thread budget for kernel loops
-            ({!Octf_tensor.Parallel.set_threads}); default from
-            [OCTF_INTRA_OP_THREADS] or the core count. Bit-identical
-            for every value. *)
     memory_planning : bool option;
         (** whether steps run the executor's lifetime analysis (eager
-            drops, buffer-pool reuse, in-place grants); default follows
-            {!Mem_plan.enabled}, i.e. on unless
-            [OCTF_MEMORY_PLANNING=off]. Fetches are bit-identical
-            either way. *)
+            drops, buffer-pool reuse, in-place grants); default on
+            unless [OCTF_MEMORY_PLANNING=off]. Fetches are
+            bit-identical either way. *)
     fusion : bool option;
         (** whether the default pipeline includes the elementwise fuse
             pass ({!Graph_optimizer.fused_pipeline} vs
@@ -93,9 +89,6 @@ module Config : sig
     max_in_flight : int option;
         (** K ≥ 1 bound on concurrent {!run_async} steps; default from
             [OCTF_MAX_IN_FLIGHT], else 1 *)
-    barrier : bool;
-        (** force K = 1 regardless of [max_in_flight] — the
-            fully-synchronous legacy pipeline (default false) *)
     remote : Remote.runner option;
         (** out-of-process runtime ([Octf_net]): partitions placed on
             devices the runner does not report
@@ -112,41 +105,26 @@ module Config : sig
     ?seed:int ->
     ?passes:Graph_optimizer.pass list ->
     ?scheduler:Scheduler.policy ->
-    ?intra_op_threads:int ->
     ?memory_planning:bool ->
     ?fusion:bool ->
     ?quantize:bool ->
     ?max_in_flight:int ->
-    ?barrier:bool ->
     ?remote:Remote.runner ->
     unit ->
     t
 end
 
-val create :
-  ?config:Config.t ->
-  ?devices:Device.t list ->
-  ?resource_router:(Device.t -> Resource_manager.t) ->
-  ?seed:int ->
-  ?optimize:bool ->
-  ?passes:Graph_optimizer.pass list ->
-  ?scheduler:Scheduler.policy ->
-  ?intra_op_threads:int ->
-  ?memory_planning:bool ->
-  ?fusion:bool ->
-  ?quantize:bool ->
-  ?max_in_flight:int ->
-  ?barrier:bool ->
-  ?remote:Remote.runner ->
-  Graph.t ->
-  t
+val create : ?config:Config.t -> Graph.t -> t
 (** [create ~config graph] builds a session over [graph]; see
-    {!Config} for every knob and its default. The bare optional labels
-    are {e deprecated} thin wrappers kept for source compatibility —
-    each one, when passed, overrides the corresponding [config] field
-    ([optimize:false] is shorthand for [passes:[]], prune-only).
-    New code should pass a [Config].
-    @raise Invalid_argument if the resolved [max_in_flight < 1]. *)
+    {!Config} for every knob and its default ([Config.v ~passes:[] ()]
+    is a prune-only session).
+    @raise Invalid_argument if [config.max_in_flight < 1]. *)
+
+val quantize_enabled : Config.t -> bool
+(** [config]'s quantize switch resolved as {!create} resolves it: the
+    field, else [OCTF_QUANTIZE], else off. Freezing front-ends that
+    build their own pass list ({!Octf_serving.Serving.freeze}) read
+    the switch here. *)
 
 val graph : t -> Graph.t
 
@@ -319,6 +297,6 @@ val run_serve :
     so it hits the same step-cache entry), run {e only} the partitions
     placed on this process's devices under the chief's [step_id], and
     return the fetch endpoints they produced. Requires the session to
-    have been created with [?remote]. Never raises: every failure —
+    have been created with [Config.remote]. Never raises: every failure —
     kernel error, cancellation via [cancel] (deadline or a Cancel_step
     frame), missing partition — returns as a structured [Error]. *)

@@ -71,7 +71,7 @@ let hot_metrics name =
 (* ------------------------------------------------------------------ *)
 (* Freeze                                                              *)
 
-let freeze_pipeline ?(quantize = false) ?ranges values =
+let freeze_pipeline ~quantize ?ranges values =
   (* Freeze first, re-prune so the frozen Consts (and the now-dead
      Variables) are in/out of the working set, then the standard
      pipeline over the inference subgraph. With [quantize], the int8
@@ -119,24 +119,12 @@ let inference_node_count session ~inputs ~outputs =
     (Octf.Pruner.prune (Session.graph session) ~feeds:(endpoint_list inputs)
        ~fetches:(endpoint_list outputs) ~targets:[])
 
-let freeze ?(config = Session.Config.default) ?quantize ?ranges ~values
-    ~inputs ~outputs graph =
+let freeze ?(config = Session.Config.default) ?ranges ~values ~inputs
+    ~outputs graph =
   (* Work on a copy: the freeze pass rewrites edges in place, and the
      training graph must keep reading its live variables. *)
   let graph = Octf.Graph.copy graph in
-  (* The quantize knob resolves like Session.create's: explicit arg >
-     config field > OCTF_QUANTIZE > off. *)
-  let quantize =
-    match quantize with
-    | Some b -> b
-    | None -> (
-        match config.Session.Config.quantize with
-        | Some b -> b
-        | None -> (
-            match Sys.getenv_opt "OCTF_QUANTIZE" with
-            | Some ("1" | "on" | "true" | "yes") -> true
-            | _ -> false))
-  in
+  let quantize = Session.quantize_enabled config in
   let config =
     {
       config with
@@ -151,18 +139,18 @@ let freeze ?(config = Session.Config.default) ?quantize ?ranges ~values
   verify_stateless graph ~inputs ~outputs;
   session
 
-let freeze_session ?config ?quantize ?ranges ~inputs ~outputs session =
-  freeze ?config ?quantize ?ranges
+let freeze_session ?config ?ranges ~inputs ~outputs session =
+  freeze ?config ?ranges
     ~values:(Session.variable_values session)
     ~inputs ~outputs (Session.graph session)
 
-let freeze_checkpoint ?config ?quantize ?ranges ~path ~inputs ~outputs graph =
+let freeze_checkpoint ?config ?ranges ~path ~inputs ~outputs graph =
   let tbl = Hashtbl.create 32 in
   List.iter
     (fun (name, tensor) -> Hashtbl.replace tbl name tensor)
     (Octf.Checkpoint_format.read_all path);
-  freeze ?config ?quantize ?ranges ~values:(Hashtbl.find_opt tbl) ~inputs
-    ~outputs graph
+  freeze ?config ?ranges ~values:(Hashtbl.find_opt tbl) ~inputs ~outputs
+    graph
 
 (* ------------------------------------------------------------------ *)
 (* Batching tensor plumbing                                            *)

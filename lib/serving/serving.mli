@@ -48,7 +48,6 @@ open Octf_tensor
 
 val freeze :
   ?config:Octf.Session.Config.t ->
-  ?quantize:bool ->
   ?ranges:(string -> (float * float) option) ->
   values:(string -> Tensor.t option) ->
   inputs:Octf.Builder.output list ->
@@ -61,20 +60,20 @@ val freeze :
     placeholders, [outputs] the served fetches. [config]'s [passes]
     field is overridden by the freeze pipeline.
 
-    With [~quantize:true] (resolution: explicit argument, then
-    [config]'s [quantize] field, then [OCTF_QUANTIZE], default off)
-    the pipeline ends with the {!Octf.Graph_optimizer.Quantize} pass:
-    eligible MatMul/Conv2D islands run on int8 codes with 4x-smaller
-    weight constants. [ranges] is the calibrated activation-range
-    lookup (see {!Octf.Quant_calibration.ranges}); omitted, islands
-    quantize their inputs dynamically per batch.
+    When [config]'s quantize switch is on (resolved by
+    {!Octf.Session.quantize_enabled}: the field, then [OCTF_QUANTIZE],
+    default off) the pipeline ends with the
+    {!Octf.Graph_optimizer.Quantize} pass: eligible MatMul/Conv2D
+    islands run on int8 codes with 4x-smaller weight constants.
+    [ranges] is the calibrated activation-range lookup (see
+    {!Octf.Quant_calibration.ranges}); omitted, islands quantize their
+    inputs dynamically per batch.
     @raise Octf.Step_failure.Error ([Invalid_graph]) if stateful
     operations survive in the pruned inference subgraph (an
     unresolvable variable, or state the model really depends on). *)
 
 val freeze_session :
   ?config:Octf.Session.Config.t ->
-  ?quantize:bool ->
   ?ranges:(string -> (float * float) option) ->
   inputs:Octf.Builder.output list ->
   outputs:Octf.Builder.output list ->
@@ -85,7 +84,6 @@ val freeze_session :
 
 val freeze_checkpoint :
   ?config:Octf.Session.Config.t ->
-  ?quantize:bool ->
   ?ranges:(string -> (float * float) option) ->
   path:string ->
   inputs:Octf.Builder.output list ->

@@ -59,7 +59,26 @@ let test_variable_lives_on_its_task () =
   let res0 = Cluster.task_resources c ~job:"ps" ~task:0 in
   Alcotest.(check bool) "on ps/1" true (Resource_manager.find res1 "w" <> None);
   Alcotest.(check bool) "not on ps/0" true
-    (Resource_manager.find res0 "w" = None)
+    (Resource_manager.find res0 "w" = None);
+  (* The cluster's devices and routing override a config's own. *)
+  let stray = Resource_manager.create () in
+  let b2 = B.create () in
+  let v2 =
+    B.variable b2 ~name:"w2" ~device:"/job:ps/task:1" ~dtype:Dtype.F32
+      ~shape:[||] ()
+  in
+  let init2 = B.assign b2 v2 (B.const_f b2 1.0) in
+  let config =
+    Session.Config.v
+      ~devices:[ Device.make ~job:"localhost" Device.CPU ]
+      ~resource_router:(fun _ -> stray)
+      ()
+  in
+  Session.run_unit (Cluster.session ~config c (B.graph b2)) [ init2 ];
+  Alcotest.(check bool) "config devices overridden" true
+    (Resource_manager.find res1 "w2" <> None);
+  Alcotest.(check bool) "config router overridden" true
+    (Resource_manager.find stray "w2" = None)
 
 let test_cross_task_training_step () =
   (* Gradient descent where the parameter, the data source and the loss

@@ -335,10 +335,16 @@ let divergence ~build prog k =
       let s =
         if fusion then
           Session.create
-            ~passes:[ Graph_optimizer.Fuse; Graph_optimizer.Prune ]
-            ~scheduler ~memory_planning:planning (B.graph b)
+            ~config:
+              (Session.Config.v
+                 ~passes:[ Graph_optimizer.Fuse; Graph_optimizer.Prune ]
+                 ~scheduler ~memory_planning:planning ())
+            (B.graph b)
         else
-          Session.create ~optimize:false ~scheduler ~memory_planning:planning
+          Session.create
+            ~config:
+              (Session.Config.v ~passes:[] ~scheduler
+                 ~memory_planning:planning ())
             (B.graph b)
       in
       Session.run ~feeds s fetches
@@ -402,13 +408,19 @@ let quant_divergence prog k =
       let s =
         if quantize then
           Session.create
-            ~passes:
-              [
-                Graph_optimizer.Quantize (fun _ -> None);
-                Graph_optimizer.Prune;
-              ]
-            ~scheduler (B.graph b)
-        else Session.create ~optimize:false ~scheduler (B.graph b)
+            ~config:
+              (Session.Config.v
+                 ~passes:
+                   [
+                     Graph_optimizer.Quantize (fun _ -> None);
+                     Graph_optimizer.Prune;
+                   ]
+                 ~scheduler ())
+            (B.graph b)
+        else
+          Session.create
+            ~config:(Session.Config.v ~passes:[] ~scheduler ())
+            (B.graph b)
       in
       Session.run ~feeds s fetches
     in
@@ -519,8 +531,9 @@ let random_dags ~control_flow () =
   done
 
 (* Pipelined legs: a stateless program must fetch bit-identical tensors
-   whether run synchronously or issued through run_async at K = 1, at
-   K = 4, or under barrier mode — admission snapshots only redirect
+   whether run synchronously or issued through run_async at K = 1 (the
+   barrier: steps serialize and read live variables) or at K = 4 —
+   admission snapshots only redirect
    Read kernels, which a stateless graph has none of. Checked across
    both schedulers and two intra-op budgets. *)
 let test_pipelined_stateless () =
@@ -534,14 +547,19 @@ let test_pipelined_stateless () =
     (fun (scheduler, threads) ->
       Parallel.set_threads threads;
       let sync =
-        let s = Session.create ~optimize:false ~scheduler (B.graph b) in
+        let s =
+          Session.create
+            ~config:(Session.Config.v ~passes:[] ~scheduler ())
+            (B.graph b)
+        in
         Session.run ~feeds s fetches
       in
       List.iter
-        (fun (label, max_in_flight, barrier) ->
+        (fun (label, max_in_flight) ->
           let s =
-            Session.create ~optimize:false ~scheduler ~max_in_flight
-              ~barrier (B.graph b)
+            Session.create
+              ~config:(Session.Config.v ~passes:[] ~scheduler ~max_in_flight ())
+              (B.graph b)
           in
           let options = Session.Run_options.v ~feeds () in
           let handles =
@@ -558,7 +576,7 @@ let test_pipelined_stateless () =
                   threads)
             handles;
           Session.drain s)
-        [ ("K=1", 1, false); ("K=4", 4, false); ("barrier", 4, true) ])
+        [ ("K=1", 1); ("K=4", 4) ])
     [
       (Scheduler.Inline, 1);
       (Scheduler.Inline, 4);
@@ -576,7 +594,9 @@ let test_pipelined_variable_updates () =
   let init = B.assign b v (B.const_f b 0.0) in
   let bump = B.assign_add b v (B.const_f b 1.0) in
   let read = B.read b v in
-  let s = Session.create ~max_in_flight:4 (B.graph b) in
+  let s =
+    Session.create ~config:(Session.Config.v ~max_in_flight:4 ()) (B.graph b)
+  in
   Session.run_unit s [ init ];
   let handles = List.init 20 (fun _ -> Session.run_async s [ bump ]) in
   List.iter (fun h -> ignore (Session.wait h)) handles;

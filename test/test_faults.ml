@@ -309,7 +309,11 @@ let infinite_loop_graph () =
 
 let check_deadline_on_cyclic scheduler () =
   let b, out = infinite_loop_graph () in
-  let s = Session.create ~scheduler ~optimize:false (B.graph b) in
+  let s =
+    Session.create
+      ~config:(Session.Config.v ~scheduler ~passes:[] ())
+      (B.graph b)
+  in
   let t0 = Unix.gettimeofday () in
   match Session.run ~deadline:0.15 s [ out ] with
   | _ -> Alcotest.fail "unbounded loop terminated"
@@ -377,7 +381,11 @@ let test_pipelined_slow_reader () =
   (* Optimizations off: constant folding would erase the named
      slow_reader node (its input is a Const), and with it the straggle
      this test is about. *)
-  let s = Session.create ~optimize:false ~max_in_flight:4 (B.graph b) in
+  let s =
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~max_in_flight:4 ())
+      (B.graph b)
+  in
   (* Warm-up pays plan compilation (and one straggle). *)
   ignore (Session.run s [ out ]);
   let n = 8 in

@@ -14,8 +14,12 @@ module B = Builder
 
 let fused_passes = [ Graph_optimizer.Fuse; Graph_optimizer.Prune ]
 
-let run_stats ?passes ?optimize ?memory_planning ~feeds b fetches =
-  let s = Session.create ?passes ?optimize ?memory_planning (B.graph b) in
+let run_stats ?passes ?memory_planning ~feeds b fetches =
+  let s =
+    Session.create
+      ~config:(Session.Config.v ?passes ?memory_planning ())
+      (B.graph b)
+  in
   let options = Session.Run_options.v ~feeds ~collect_stats:true () in
   let fetched, md = Session.run_with_metadata ~options s fetches in
   (fetched, Option.get md.Session.Run_metadata.step_stats)
@@ -46,7 +50,7 @@ let test_chain_collapses () =
   let feeds _b x = [ (x, feed_x ()) ] in
   let b1, x1, y1 = build_chain () in
   let expected, plain =
-    run_stats ~optimize:false ~feeds:(feeds b1 x1) b1 [ y1 ]
+    run_stats ~passes:[] ~feeds:(feeds b1 x1) b1 [ y1 ]
   in
   let groups_before =
     Option.value ~default:0.0
@@ -83,7 +87,7 @@ let test_chain_collapses () =
 let test_planning_on_off () =
   let feeds _b x = [ (x, feed_x ()) ] in
   let b1, x1, y1 = build_chain () in
-  let expected, _ = run_stats ~optimize:false ~feeds:(feeds b1 x1) b1 [ y1 ] in
+  let expected, _ = run_stats ~passes:[] ~feeds:(feeds b1 x1) b1 [ y1 ] in
   List.iter
     (fun planning ->
       let b2, x2, y2 = build_chain () in
@@ -112,7 +116,7 @@ let test_addn_broadcast_group () =
     Tensor.of_float_array [| 2; 3 |] [| 1.0; -2.0; 3.0; -4.0; 5.0; -6.0 |]
   in
   let b1, x1, y1 = build () in
-  let expected, _ = run_stats ~optimize:false ~feeds:[ (x1, xt) ] b1 [ y1 ] in
+  let expected, _ = run_stats ~passes:[] ~feeds:[ (x1, xt) ] b1 [ y1 ] in
   let b2, x2, y2 = build () in
   let got, fused = run_stats ~passes:fused_passes ~feeds:[ (x2, xt) ] b2 [ y2 ] in
   check_identical "broadcasting AddN group bit-identical" expected got;
@@ -140,7 +144,7 @@ let test_int_chain () =
     (b, y)
   in
   let b1, y1 = build () in
-  let expected, _ = run_stats ~optimize:false ~feeds:[] b1 [ y1 ] in
+  let expected, _ = run_stats ~passes:[] ~feeds:[] b1 [ y1 ] in
   let b2, y2 = build () in
   let got, fused = run_stats ~passes:fused_passes ~feeds:[] b2 [ y2 ] in
   check_identical "int chain bit-identical" expected got;
@@ -159,7 +163,7 @@ let test_multi_consumer_boundary () =
   in
   let feeds x = [ (x, feed_x ()) ] in
   let b1, x1, a1, a2 = build () in
-  let expected, _ = run_stats ~optimize:false ~feeds:(feeds x1) b1 [ a1; a2 ] in
+  let expected, _ = run_stats ~passes:[] ~feeds:(feeds x1) b1 [ a1; a2 ] in
   let b2, x2, c1, c2 = build () in
   let got, fused =
     run_stats ~passes:fused_passes ~feeds:(feeds x2) b2 [ c1; c2 ]
@@ -191,7 +195,7 @@ let test_control_dependency_boundary () =
   in
   let feeds x = [ (x, feed_x ()) ] in
   let b1, x1, q1, r1 = build () in
-  let expected, _ = run_stats ~optimize:false ~feeds:(feeds x1) b1 [ q1; r1 ] in
+  let expected, _ = run_stats ~passes:[] ~feeds:(feeds x1) b1 [ q1; r1 ] in
   let b2, x2, q2, r2 = build () in
   let got, fused =
     run_stats ~passes:fused_passes ~feeds:(feeds x2) b2 [ q2; r2 ]
@@ -215,7 +219,7 @@ let test_fetched_interior_kept () =
   in
   let feeds x = [ (x, feed_x ()) ] in
   let b1, x1, m1, t1 = build () in
-  let expected, _ = run_stats ~optimize:false ~feeds:(feeds x1) b1 [ m1; t1 ] in
+  let expected, _ = run_stats ~passes:[] ~feeds:(feeds x1) b1 [ m1; t1 ] in
   let b2, x2, m2, t2 = build () in
   let got, fused =
     run_stats ~passes:fused_passes ~feeds:(feeds x2) b2 [ m2; t2 ]
@@ -231,7 +235,7 @@ let test_session_knob () =
   let feeds _b x = [ (x, feed_x ()) ] in
   let run fusion =
     let b, x, y = build_chain () in
-    let s = Session.create ~fusion (B.graph b) in
+    let s = Session.create ~config:(Session.Config.v ~fusion ()) (B.graph b) in
     let options =
       Session.Run_options.v ~feeds:(feeds b x) ~collect_stats:true ()
     in

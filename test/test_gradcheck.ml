@@ -21,7 +21,9 @@ let grad_check ?(tol = 1e-4) ?(lo = 0.2) ?(hi = 1.5) ~shape ~f () =
     | _ -> Alcotest.fail "no gradient"
   in
   let session =
-    Session.create ~optimize:false ~memory_planning:true (B.graph b)
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~memory_planning:true ())
+      (B.graph b)
   in
   let rng = Rng.create 99 in
   let point = Tensor.uniform ~dtype:Dtype.F64 rng shape ~lo ~hi in

@@ -70,7 +70,7 @@ let test_fill_and_likes () =
   let f = B.fill b [| 2; 2 |] 0.5 in
   let z = B.zeros_like b f in
   let o = B.ones_like b f in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   match Session.run s [ f; z; o ] with
   | [ fv; zv; ov ] ->
       Alcotest.(check (float 0.)) "fill" 0.5 (Tensor.get_f fv [| 1; 1 |]);
@@ -104,7 +104,7 @@ let test_comparison_broadcast () =
   let thresh = B.const_f b 2.5 in
   let mask = B.cast b (B.greater b m thresh) Dtype.F32 in
   let count = B.reduce_sum b mask in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   Alcotest.(check (float 0.)) "two above threshold" 2.0
     (scalar (List.hd (Session.run s [ count ])))
 
@@ -114,7 +114,7 @@ let test_identity_forwards_resource () =
   let alias = B.identity b v in
   let init = B.assign b alias (B.const_f b 3.0) in
   let r = B.read b alias in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   Session.run_unit s [ init ];
   Alcotest.(check (float 0.)) "assigned through alias" 3.0
     (scalar (List.hd (Session.run s [ r ])))
@@ -123,7 +123,7 @@ let test_addn_variadic () =
   let b = B.create () in
   let xs = List.init 7 (fun i -> B.const_f b (float_of_int i)) in
   let sum = B.add_n b xs in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   Alcotest.(check (float 0.)) "0+..+6" 21.0
     (scalar (List.hd (Session.run s [ sum ])))
 

@@ -164,7 +164,11 @@ let test_pool_scheduler_instrumentation () =
   let b = B.create () in
   let x = B.const_f b 2.0 in
   let y = B.add_n b (List.init 8 (fun _ -> B.mul b x x)) in
-  let s = Session.create ~optimize:false ~scheduler:Scheduler.Pool (B.graph b) in
+  let s =
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~scheduler:Scheduler.Pool ())
+      (B.graph b)
+  in
   let iters = 20 in
   for _ = 1 to iters do
     ignore (Session.run s [ y ])

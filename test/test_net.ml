@@ -301,7 +301,8 @@ let test_session_drain_scrubs_rendezvous () =
   let session =
     Cluster.session
       (Cluster.create ~jobs:[ ("worker", 1, [ Device.CPU ]) ])
-      ~remote:(Runtime.runner rt) (B.graph b)
+      ~config:(Session.Config.v ~remote:(Runtime.runner rt) ())
+      (B.graph b)
   in
   ignore (Session.run session [ y ]);
   (* Simulate a tensor a failed step left behind under a step id the
@@ -463,7 +464,9 @@ let spawn_party ~job ~cluster =
       ~jobs:[ ("ps", 1, [ Device.CPU ]); ("worker", 1, [ Device.CPU ]) ]
   in
   let session =
-    Cluster.session octf_cluster ~remote:(Runtime.runner rt) (B.graph b)
+    Cluster.session octf_cluster
+      ~config:(Session.Config.v ~remote:(Runtime.runner rt) ())
+      (B.graph b)
   in
   Runtime.serve rt ~session;
   {
@@ -544,6 +547,47 @@ let test_two_runtime_training_and_recovery () =
   in
   Alcotest.(check bool) "training resumed after ps restart" true
     (Array.exists (fun v -> Float.abs v > 1e-6) w2)
+
+(* A kernel failure inside a served partition reaches the chief as the
+   step's root cause: the ps's own error, naming the failing node and
+   the ps device, not the chief partition's collateral cancellation. *)
+let test_served_failure_is_root_cause () =
+  let ps_port = free_port () and worker_port = free_port () in
+  let cluster =
+    [ (("ps", 0), { Runtime.host = "127.0.0.1"; port = ps_port });
+      (("worker", 0), { Runtime.host = "127.0.0.1"; port = worker_port }) ]
+  in
+  let ps = spawn_party ~job:"ps" ~cluster in
+  let chief = spawn_party ~job:"worker" ~cluster in
+  Fun.protect ~finally:(fun () ->
+      Fault_injector.reset ();
+      Runtime.shutdown chief.rt;
+      Runtime.shutdown ps.rt)
+  @@ fun () ->
+  Session.run_unit chief.session [ chief.init ];
+  let xs, ys = batch () in
+  Session.run_unit
+    ~feeds:[ (chief.x_in, xs); (chief.y_in, ys) ]
+    chief.session [ chief.enqueue ];
+  let read_name = chief.w_read.B.node.Node.name in
+  Fault_injector.install
+    [ Fault_injector.Fail_kernel { pattern = read_name; step = 0 } ];
+  match Session.run chief.session [ chief.loss ] with
+  | _ -> Alcotest.fail "step with a failing ps kernel should fail"
+  | exception Session.Run_error f ->
+      (match f.Step_failure.cause with
+      | Step_failure.Fault_injected _ -> ()
+      | c ->
+          Alcotest.failf "expected the ps fault as root cause, got %s"
+            (Step_failure.to_string { f with Step_failure.cause = c }));
+      Alcotest.(check bool) "cause is primary" false
+        (Step_failure.is_secondary f.Step_failure.cause);
+      Alcotest.(check (option string)) "names the ps node" (Some read_name)
+        f.Step_failure.node;
+      Alcotest.(check bool) "names the ps device" true
+        (match f.Step_failure.device with
+        | Some d -> String.starts_with ~prefix:"/job:ps/task:0" d
+        | None -> false)
 
 let test_heartbeat_detects_wedged_peer () =
   (* A fake ps that completes the handshake, then goes silent: never
@@ -844,6 +888,8 @@ let suite =
       test_spmd_placement_agrees_across_compile_orders;
     Alcotest.test_case "two-runtime train, kill, reconnect" `Quick
       test_two_runtime_training_and_recovery;
+    Alcotest.test_case "served failure is the chief's root cause" `Quick
+      test_served_failure_is_root_cause;
     Alcotest.test_case "heartbeat detects wedged peer" `Quick
       test_heartbeat_detects_wedged_peer;
     Alcotest.test_case "dead-peer write is structured" `Quick

@@ -26,7 +26,7 @@ let test_constant_folding () =
   in
   Alcotest.(check bool) "inputs folded" true all_const;
   (* Semantics preserved. *)
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   Alcotest.(check (float 0.)) "value" 20.0
     (Tensor.flat_get_f (List.hd (Session.run s [ y ])) 0)
 
@@ -42,7 +42,7 @@ let test_cse_merges_duplicates () =
   Alcotest.(check int) "both inputs point at one node"
     y_node.Node.inputs.(0).Node.node_id
     y_node.Node.inputs.(1).Node.node_id;
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   Alcotest.(check (float 0.)) "value" 18.0
     (Tensor.flat_get_f
        (List.hd (Session.run ~feeds:[ (x, Tensor.scalar_f 3.0) ] s [ y ]))
@@ -86,8 +86,10 @@ let test_session_optimized_run_matches () =
          (Session.run ~feeds:[ (x, Tensor.scalar_f 2.5) ] s [ y ]))
       0
   in
-  let s1 = Session.create ~optimize:true (B.graph b1) in
-  let s2 = Session.create ~optimize:false (B.graph b2) in
+  let s1 = Session.create (B.graph b1) in
+  let s2 =
+    Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b2)
+  in
   Alcotest.(check (float 1e-9)) "same result" (v s2 x2 y2) (v s1 x1 y1)
 
 let test_reprune_after_optimize () =
@@ -98,7 +100,7 @@ let test_reprune_after_optimize () =
   let x = B.placeholder b Dtype.F32 in
   let k = B.const_f b 3.0 in
   let y = B.add b (B.mul b x k) (B.mul b x k) in
-  let s = Session.create ~optimize:true (B.graph b) in
+  let s = Session.create (B.graph b) in
   let options =
     Session.Run_options.v
       ~feeds:[ (x, Tensor.scalar_f 2.0) ]
@@ -259,7 +261,7 @@ let test_multi_output_constant_fold () =
   let z_node = Graph.get (B.graph b) z.B.node.Node.id in
   Alcotest.(check string) "folding propagated through Split" "Const"
     (Graph.get (B.graph b) z_node.Node.inputs.(0).Node.node_id).Node.op_type;
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let t = List.hd (Session.run s [ z ]) in
   Alcotest.(check (float 0.)) "value [0]" (-4.0) (Tensor.flat_get_f t 0);
   Alcotest.(check (float 0.)) "value [1]" (-6.0) (Tensor.flat_get_f t 1)

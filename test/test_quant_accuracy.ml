@@ -180,8 +180,9 @@ let argmax_row t ~row ~cols =
    held-out batch, and compare top-1 agreement. *)
 let check_top1_delta ~name ~max_delta ~eval_batch m =
   let float_frozen =
-    Serving.freeze_session ~quantize:false ~inputs:[ m.pixels ]
-      ~outputs:[ m.logits ] m.session
+    Serving.freeze_session
+      ~config:(Session.Config.v ~quantize:false ())
+      ~inputs:[ m.pixels ] ~outputs:[ m.logits ] m.session
   in
   (* calibrate on the float frozen graph with representative batches *)
   let cal = Quant_calibration.create () in
@@ -196,7 +197,8 @@ let check_top1_delta ~name ~max_delta ~eval_batch m =
       m.calibrate
   done;
   let quant_frozen =
-    Serving.freeze_session ~quantize:true
+    Serving.freeze_session
+      ~config:(Session.Config.v ~quantize:true ())
       ~ranges:(Quant_calibration.ranges cal)
       ~inputs:[ m.pixels ] ~outputs:[ m.logits ] m.session
   in
@@ -264,7 +266,8 @@ let test_serving_quantized_path () =
       m.calibrate
   done;
   let quant_frozen =
-    Serving.freeze_session ~quantize:true
+    Serving.freeze_session
+      ~config:(Session.Config.v ~quantize:true ())
       ~ranges:(Quant_calibration.ranges cal)
       ~inputs:[ m.pixels ] ~outputs:[ m.logits ] m.session
   in

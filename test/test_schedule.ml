@@ -80,7 +80,7 @@ let test_clip_by_global_norm () =
   let g2 = B.const b (Tensor.of_float_array [| 1 |] [| 4.0 |]) in
   (* Joint norm 5; clip to 1 scales both by 1/5. *)
   let clipped = Opt.clip_by_global_norm b ~clip_norm:1.0 [ g1; g2 ] in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   (match Session.run s clipped with
   | [ c1; c2 ] ->
       Alcotest.(check (float 1e-6)) "g1 scaled" 0.6 (Tensor.flat_get_f c1 0);

@@ -34,11 +34,13 @@ let test_freeze_bit_identical () =
   in
   (* The frozen graph must fetch bit-identical tensors whatever the
      execution strategy. *)
+  let saved = Octf_tensor.Parallel.threads () in
+  Fun.protect ~finally:(fun () -> Octf_tensor.Parallel.set_threads saved)
+  @@ fun () ->
   List.iter
     (fun (scheduler, threads) ->
-      let config =
-        Session.Config.v ~scheduler ~intra_op_threads:threads ()
-      in
+      Octf_tensor.Parallel.set_threads threads;
+      let config = Session.Config.v ~scheduler () in
       let frozen = Serving.freeze_session ~config ~inputs:[ x ] ~outputs:[ y ] live in
       match Session.run ~feeds:[ (x, feed) ] frozen [ y ] with
       | [ v ] ->
@@ -55,9 +57,7 @@ let test_freeze_bit_identical () =
       (Scheduler.Inline, 4);
       (Scheduler.Pool, 1);
       (Scheduler.Pool, 4);
-    ];
-  (* restore the default thread budget for the rest of the suite *)
-  Octf_tensor.Parallel.set_threads 1
+    ]
 
 let test_freeze_isolated_from_training () =
   let b, vs, x, y = build_mlp () in

@@ -143,9 +143,16 @@ let test_save_restore_through_graph () =
   | _ -> Alcotest.fail "arity");
   Sys.remove path
 
-(* Session.Config: one record carries every construction knob; the
-   legacy optional labels survive as deprecated wrappers that override
-   the corresponding config field. *)
+(* Run [f] with the environment variable [name] set to [value] (or
+   unset, as an empty value), restoring its previous value afterwards:
+   CI legs set these variables for the whole suite. *)
+let with_env name value f =
+  let saved = Option.value (Sys.getenv_opt name) ~default:"" in
+  Unix.putenv name (Option.value value ~default:"");
+  Fun.protect ~finally:(fun () -> Unix.putenv name saved) f
+
+(* Session.Config is the one way to configure a session; an unset field
+   falls back to the OCTF_* variable, then to the built-in default. *)
 let test_config_resolution () =
   let b = B.create () in
   let x = B.placeholder b Dtype.F32 in
@@ -160,25 +167,84 @@ let test_config_resolution () =
     (Session.scheduler s = Scheduler.Pool);
   Alcotest.(check int) "config max_in_flight honored" 4
     (Session.max_in_flight s);
-  (* a legacy label beats the config field *)
-  let s2 =
-    Session.create
-      ~config:(Session.Config.v ~max_in_flight:4 ())
-      ~max_in_flight:2 g
-  in
-  Alcotest.(check int) "legacy label wins" 2 (Session.max_in_flight s2);
+  with_env "OCTF_MAX_IN_FLIGHT" (Some "3") (fun () ->
+      let s2 =
+        Session.create ~config:(Session.Config.v ~max_in_flight:2 ()) g
+      in
+      Alcotest.(check int) "config field beats OCTF_MAX_IN_FLIGHT" 2
+        (Session.max_in_flight s2);
+      Alcotest.(check int) "unset config falls back to the environment" 3
+        (Session.max_in_flight (Session.create g)));
+  with_env "OCTF_MAX_IN_FLIGHT" None (fun () ->
+      Alcotest.(check int) "built-in default" 1
+        (Session.max_in_flight (Session.create g)));
   (* Config.default resolves like no arguments at all *)
   let s3 = Session.create ~config:Session.Config.default g in
   Alcotest.(check bool) "default scheduler" true
-    (Session.scheduler s3 = Scheduler.default_policy ());
-  (* barrier in the config pins the pipeline to one step *)
-  let s4 =
-    Session.create
-      ~config:(Session.Config.v ~max_in_flight:8 ~barrier:true ())
-      g
+    (Session.scheduler s3 = Scheduler.default_policy ())
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+(* Everything [f] prints on stderr, captured through a temporary file. *)
+let capture_stderr f =
+  let path = Filename.temp_file "octf_stderr" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stderr;
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved;
+      Unix.close fd)
+    f;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+(* The OCTF_* on/off switches share one case-insensitive parser; an
+   unrecognised value warns and keeps the default instead of silently
+   picking a side. Fusion is observed through the FusedElementwise
+   kernels of a step's stats. *)
+let test_env_flag_parsing () =
+  let fused_kernels () =
+    let b = B.create () in
+    let x = B.placeholder b Dtype.F32 in
+    let y = B.exp b (B.neg b (B.square b x)) in
+    let s = Session.create (B.graph b) in
+    let options =
+      Session.Run_options.v
+        ~feeds:[ (x, Tensor.of_float_array [| 3 |] [| 1.; 2.; 3. |]) ]
+        ~collect_stats:true ()
+    in
+    let _, md = Session.run_with_metadata ~options s [ y ] in
+    List.length
+      (List.filter
+         (fun ns -> ns.Step_stats.op_type = "FusedElementwise")
+         (Option.get md.Session.Run_metadata.step_stats).Step_stats.nodes)
   in
-  Alcotest.(check int) "barrier wins over max_in_flight" 1
-    (Session.max_in_flight s4)
+  with_env "OCTF_FUSION" (Some "OFF") (fun () ->
+      Alcotest.(check int) "OCTF_FUSION=OFF disables fusion" 0
+        (fused_kernels ()));
+  with_env "OCTF_FUSION" (Some "of") (fun () ->
+      let n = ref 0 in
+      let warning = capture_stderr (fun () -> n := fused_kernels ()) in
+      Alcotest.(check int) "OCTF_FUSION=of keeps fusion on" 1 !n;
+      Alcotest.(check bool) "OCTF_FUSION=of warns" true
+        (contains warning "OCTF_FUSION"));
+  with_env "OCTF_MAX_IN_FLIGHT" (Some "0") (fun () ->
+      let k = ref 0 in
+      let warning =
+        capture_stderr (fun () ->
+            k := Session.max_in_flight (Session.create (B.graph (B.create ()))))
+      in
+      Alcotest.(check int) "OCTF_MAX_IN_FLIGHT=0 keeps K=1" 1 !k;
+      Alcotest.(check bool) "OCTF_MAX_IN_FLIGHT=0 warns" true
+        (contains warning "OCTF_MAX_IN_FLIGHT"))
 
 let test_config_passes_and_precompile () =
   let b = B.create () in
@@ -205,6 +271,7 @@ let suite =
   [
     Alcotest.test_case "step caching" `Quick test_step_caching;
     Alcotest.test_case "config resolution" `Quick test_config_resolution;
+    Alcotest.test_case "OCTF_* flag parsing" `Quick test_env_flag_parsing;
     Alcotest.test_case "config passes + precompile" `Quick
       test_config_passes_and_precompile;
     Alcotest.test_case "pruning" `Quick test_pruning_skips_unrelated;

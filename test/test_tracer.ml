@@ -20,7 +20,7 @@ let test_traces_kernels () =
   let b = B.create () in
   let x = B.const_f b 2.0 in
   let y = B.mul b (B.neg b x) (B.const_f b 3.0) in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let results, tracer = traced s [ y ] in
   Alcotest.(check (float 0.)) "result" (-6.0)
     (Tensor.flat_get_f (List.hd results) 0);
@@ -37,7 +37,7 @@ let test_summary_and_totals () =
   let b = B.create () in
   let x = B.const_f b 1.0 in
   let y = B.add_n b [ x; x; x ] in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let _, tracer = traced s [ y ] in
   let by_op = Tracer.by_op_type tracer in
   Alcotest.(check bool) "grouped" true
@@ -49,7 +49,7 @@ let test_summary_and_totals () =
 let test_chrome_trace_shape () =
   let b = B.create () in
   let y = B.neg b (B.const_f b 1.0) in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let _, tracer = traced s [ y ] in
   let json = Tracer.to_chrome_trace tracer in
   Alcotest.(check bool) "traceEvents" true (contains json "\"traceEvents\"");
@@ -91,7 +91,7 @@ let test_chrome_trace_valid_json () =
   let b = B.create () in
   let x = B.const_f b ~name:{|quo"te \back\slash|} 1.0 in
   let y = B.neg b ~name:"tab\there" x in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let _, tracer = traced s [ y ] in
   let json = Json_check.parse (Tracer.to_chrome_trace tracer) in
   let events =
@@ -120,7 +120,9 @@ let test_summary_reports_lanes () =
   let x = B.const_f b 2.0 in
   let y = B.add_n b (List.init 6 (fun _ -> B.mul b x x)) in
   let s =
-    Session.create ~optimize:false ~scheduler:Scheduler.Pool (B.graph b)
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~scheduler:Scheduler.Pool ())
+      (B.graph b)
   in
   let _, tracer = traced s [ y ] in
   Alcotest.(check bool) "lane utilization non-empty" true
