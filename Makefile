@@ -113,32 +113,51 @@ dist-smoke: build
 	timeout -k 5 90 ./_build/default/bin/octf_cli.exe dist-smoke --scenario dropconn
 	timeout -k 5 90 ./_build/default/bin/octf_cli.exe dist-smoke --scenario framedelay
 
-ci: build test fmt bench-smoke fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke
-	OCTF_SCHEDULER=pool dune runtest --force
-	OCTF_INTRA_OP_THREADS=1 OCTF_SCHEDULER=inline dune runtest --force
-	OCTF_INTRA_OP_THREADS=4 OCTF_SCHEDULER=inline dune runtest --force
-	OCTF_INTRA_OP_THREADS=1 OCTF_SCHEDULER=pool dune runtest --force
-	OCTF_INTRA_OP_THREADS=4 OCTF_SCHEDULER=pool dune runtest --force
-	OCTF_SCHEDULER=inline dune exec test/test_main.exe -- test faults
-	OCTF_SCHEDULER=pool dune exec test/test_main.exe -- test faults
-	OCTF_SCHEDULER=inline dune exec test/test_main.exe -- test metrics
-	OCTF_SCHEDULER=pool dune exec test/test_main.exe -- test metrics
-	OCTF_MEMORY_PLANNING=off dune runtest --force
-	OCTF_FUSION=off dune runtest --force
-	OCTF_QUANTIZE=off dune runtest --force
-	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quantization
-	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quant_accuracy
-	OCTF_MEMORY_PLANNING=on dune exec test/test_main.exe -- test differential
-	OCTF_MEMORY_PLANNING=off dune exec test/test_main.exe -- test differential
-	OCTF_FUSION=on dune exec test/test_main.exe -- test differential
-	OCTF_FUSION=off dune exec test/test_main.exe -- test differential
-	OCTF_SCHEDULER=inline OCTF_MAX_IN_FLIGHT=1 dune exec test/test_main.exe -- test differential
-	OCTF_SCHEDULER=inline OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test differential
-	OCTF_SCHEDULER=pool OCTF_MAX_IN_FLIGHT=1 dune exec test/test_main.exe -- test differential
-	OCTF_SCHEDULER=pool OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test differential
-	OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test data
-	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- kernels
-	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- memory
+# Every leg runs even when an earlier one fails (a flaky timing leg
+# must not hide the legs after it); the target then exits non-zero and
+# names each failed leg.
+ci:
+	@failed=''; \
+	leg() { echo "== ci leg: $$*"; "$$@" || failed="$$failed$$(printf '\n  %s' "$$*")"; }; \
+	leg $(MAKE) --no-print-directory build; \
+	leg $(MAKE) --no-print-directory test; \
+	leg $(MAKE) --no-print-directory fmt; \
+	leg $(MAKE) --no-print-directory bench-smoke; \
+	leg $(MAKE) --no-print-directory fault-smoke; \
+	leg $(MAKE) --no-print-directory metrics-smoke; \
+	leg $(MAKE) --no-print-directory pipeline-smoke; \
+	leg $(MAKE) --no-print-directory serving-smoke; \
+	leg $(MAKE) --no-print-directory quant-smoke; \
+	leg $(MAKE) --no-print-directory dist-smoke; \
+	leg env OCTF_SCHEDULER=pool dune runtest --force; \
+	leg env OCTF_INTRA_OP_THREADS=1 OCTF_SCHEDULER=inline dune runtest --force; \
+	leg env OCTF_INTRA_OP_THREADS=4 OCTF_SCHEDULER=inline dune runtest --force; \
+	leg env OCTF_INTRA_OP_THREADS=1 OCTF_SCHEDULER=pool dune runtest --force; \
+	leg env OCTF_INTRA_OP_THREADS=4 OCTF_SCHEDULER=pool dune runtest --force; \
+	leg env OCTF_SCHEDULER=inline dune exec test/test_main.exe -- test faults; \
+	leg env OCTF_SCHEDULER=pool dune exec test/test_main.exe -- test faults; \
+	leg env OCTF_SCHEDULER=inline dune exec test/test_main.exe -- test metrics; \
+	leg env OCTF_SCHEDULER=pool dune exec test/test_main.exe -- test metrics; \
+	leg env OCTF_MEMORY_PLANNING=off dune runtest --force; \
+	leg env OCTF_FUSION=off dune runtest --force; \
+	leg env OCTF_QUANTIZE=off dune runtest --force; \
+	leg env OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quantization; \
+	leg env OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quant_accuracy; \
+	leg env OCTF_MEMORY_PLANNING=on dune exec test/test_main.exe -- test differential; \
+	leg env OCTF_MEMORY_PLANNING=off dune exec test/test_main.exe -- test differential; \
+	leg env OCTF_FUSION=on dune exec test/test_main.exe -- test differential; \
+	leg env OCTF_FUSION=off dune exec test/test_main.exe -- test differential; \
+	leg env OCTF_SCHEDULER=inline OCTF_MAX_IN_FLIGHT=1 dune exec test/test_main.exe -- test differential; \
+	leg env OCTF_SCHEDULER=inline OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test differential; \
+	leg env OCTF_SCHEDULER=pool OCTF_MAX_IN_FLIGHT=1 dune exec test/test_main.exe -- test differential; \
+	leg env OCTF_SCHEDULER=pool OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test differential; \
+	leg env OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test data; \
+	leg env OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- kernels; \
+	leg env OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- memory; \
+	if [ -n "$$failed" ]; then \
+	  printf 'make ci: failed legs:%s\n' "$$failed"; exit 1; \
+	fi; \
+	echo "make ci: every leg passed"
 
 clean:
 	dune clean

@@ -6,18 +6,22 @@ module K = Kernel
 
 let t v = Value.Tensor v
 
-(* Elementwise kernels declare May_alias pairs: when the executor's
-   memory planner proves an input buffer is exclusively owned it grants
-   an in-place write, which the [?out] argument of the tensor ops
-   accepts (falling back to a fresh allocation if broadcasting changed
-   the element count). Comparison ops produce bool tensors and cannot
-   alias their float inputs. *)
-let unary name f =
+(* Elementwise kernels: one per op of the elementwise engine, each the
+   engine's one-op expression, so a standalone op and the same op in a
+   FusedElementwise group run the same loop. They declare May_alias
+   pairs: when the executor's memory planner proves an input buffer is
+   exclusively owned it grants an in-place write, which the engine's
+   [?out] accepts (falling back to a fresh allocation if broadcasting
+   changed the element count). Comparison ops produce bool tensors and
+   cannot alias their float inputs. *)
+let unary name =
+  let f = Fused_eval.unary name in
   K.register ~op_type:name ~aliases:[ (0, 0) ] (fun ctx ->
       K.one
         (t (f ?out:(K.granted_buffer ctx ~output:0) (K.input_tensor ctx 0))))
 
-let binary name f =
+let binary name =
+  let f = Fused_eval.binary name in
   K.register ~op_type:name ~aliases:[ (0, 0); (1, 0) ] (fun ctx ->
       K.one
         (t
@@ -71,22 +75,8 @@ let register () =
   K.register ~op_type:"Placeholder" (fun ctx ->
       failwith
         (Printf.sprintf "placeholder %S was not fed" ctx.K.node.Node.name));
-  binary "Add" Tensor_ops.add;
-  binary "Sub" Tensor_ops.sub;
-  binary "Mul" Tensor_ops.mul;
-  binary "Div" Tensor_ops.div;
-  binary "Pow" Tensor_ops.pow;
-  binary "Mod" Tensor_ops.modulo;
-  binary "Maximum" Tensor_ops.maximum;
-  binary "Minimum" Tensor_ops.minimum;
-  unary "Neg" Tensor_ops.neg;
-  unary "Abs" Tensor_ops.abs;
-  unary "Sign" Tensor_ops.sign;
-  unary "Exp" Tensor_ops.exp;
-  unary "Log" Tensor_ops.log;
-  unary "Sqrt" Tensor_ops.sqrt;
-  unary "Square" Tensor_ops.square;
-  unary "Reciprocal" Tensor_ops.reciprocal;
+  List.iter unary Fused_eval.unary_op_names;
+  List.iter binary Fused_eval.binary_op_names;
   binary_cmp "Equal" Tensor_ops.equal;
   binary_cmp "Less" Tensor_ops.less;
   binary_cmp "Greater" Tensor_ops.greater;

@@ -1,4 +1,6 @@
-(* Neural-network kernels: activations, convolution, pooling, softmax.
+(* Neural-network kernels: convolution, pooling, softmax. The
+   elementwise activations (Relu, Sigmoid, Tanh, ReluGrad) are
+   elementwise-engine ops, registered with the others in Math_kernels.
    The fused SoftmaxCrossEntropy kernel mirrors the hand-implemented
    fused kernels the paper describes for performance-critical operations
    (§5): output 0 is the per-example loss, output 1 the cached backprop
@@ -26,26 +28,9 @@ let ksize_of node = pair_of_ints "ksize" (Node.attr_ints node "ksize")
 let unary name f =
   K.register ~op_type:name (fun ctx -> K.one (t (f (K.input_tensor ctx 0))))
 
-(* Elementwise activations accept an in-place grant from the memory
-   planner (see Math_kernels); softmax variants reduce over rows and
-   keep their own buffers. *)
-let unary_inplace name f =
-  K.register ~op_type:name ~aliases:[ (0, 0) ] (fun ctx ->
-      K.one
-        (t (f ?out:(K.granted_buffer ctx ~output:0) (K.input_tensor ctx 0))))
-
 let register () =
-  unary_inplace "Relu" Tensor_ops.relu;
-  unary_inplace "Sigmoid" Tensor_ops.sigmoid;
-  unary_inplace "Tanh" Tensor_ops.tanh;
   unary "Softmax" Tensor_ops.softmax;
   unary "LogSoftmax" Tensor_ops.log_softmax;
-  K.register ~op_type:"ReluGrad" ~aliases:[ (0, 0); (1, 0) ] (fun ctx ->
-      K.one
-        (t
-           (Tensor_ops.relu_grad
-              ?out:(K.granted_buffer ctx ~output:0)
-              (K.input_tensor ctx 0) (K.input_tensor ctx 1))));
   K.register ~op_type:"SoftmaxCrossEntropy" (fun ctx ->
       let logits = K.input_tensor ctx 0 and labels = K.input_tensor ctx 1 in
       let loss = Tensor_ops.softmax_cross_entropy ~logits ~labels in

@@ -1,63 +1,202 @@
-(* Evaluator for fused elementwise expressions. The graph optimizer's
-   Fuse pass collapses a chain/tree of pure elementwise operations into
-   one FusedElementwise node carrying a postfix expression over its
-   external inputs; this module interprets that expression once per
-   output element in a single pass over one output buffer, so a 10-op
-   chain costs one read and one write of memory instead of ten.
+(* The elementwise engine. Every elementwise evaluation in the runtime
+   runs here: a standalone kernel (Add, Relu, ...) is the one-op
+   expression over its inputs, a FusedElementwise node (the graph
+   optimizer's Fuse pass collapses a tree of pure elementwise ops into
+   one) is the whole tree, and comparisons, Select and broadcast_to use
+   the same operand loader. One pass over one output buffer evaluates
+   the expression, so a 10-op chain costs one read and one write of
+   memory instead of ten.
 
-   Bit-identity with unfused execution is the contract: each operation
-   applies exactly the scalar function its standalone kernel applies
-   (same primitive, same operand order), and for non-float dtypes every
-   {e binary} operation truncates its result through [int_of_float],
-   mirroring how [Tensor.map2_f] materializes integer tensors between
-   unfused ops ([Tensor.map_f] does not truncate, so unary ops don't
-   either). *)
+   Each op's scalar formula is written once, as its block loop in
+   [unary_ops]/[binary_ops]. Fused and unfused execution run the same
+   loops over the same operand values, so they agree bit for bit by
+   construction. For non-float dtypes every op's result truncates
+   through [int_of_float] before the next op reads it, and the output
+   is materialized at its dtype by [Tensor.cast]; fusion removes no
+   truncation. *)
 
 type expr =
   | Input of int
   | Unary of string * expr
   | Binary of string * expr * expr
 
-(* Floor-mod, duplicated from Tensor_ops.floor_mod (same formula so the
-   fused path stays bit-identical to the Mod kernel). *)
-let floor_mod a b =
-  let r = Float.rem a b in
-  if r <> 0.0 && r < 0.0 <> (b < 0.0) then r +. b else r
+(* Block loops: [d.(dof + i) <- f a.(aof + i)] (or [f a b]) for
+   [i < len]. [d] may be [a] or [b] at the same offset: index [i] is
+   read before it is written, so evaluation in place is safe. Written
+   out per op, with the primitive inlined into the loop: a closure call
+   per element would box every float result. *)
+type unary_block = float array -> int -> float array -> int -> int -> unit
 
-let unary_fn = function
-  | "Neg" -> Some (fun x -> -.x)
-  | "Abs" -> Some Float.abs
-  | "Sign" ->
-      Some (fun x -> if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0)
-  | "Exp" -> Some Stdlib.exp
-  | "Log" -> Some Stdlib.log
-  | "Sqrt" -> Some Stdlib.sqrt
-  | "Square" -> Some (fun x -> x *. x)
-  | "Reciprocal" -> Some (fun x -> 1.0 /. x)
-  | "Relu" -> Some (fun x -> Float.max 0.0 x)
-  | "Sigmoid" -> Some (fun x -> 1.0 /. (1.0 +. Stdlib.exp (-.x)))
-  | "Tanh" -> Some Stdlib.tanh
-  | _ -> None
+type binary_block =
+  float array -> int -> float array -> int -> float array -> int -> int -> unit
 
-let binary_fn = function
-  | "Add" -> Some ( +. )
-  | "Sub" -> Some ( -. )
-  | "Mul" -> Some ( *. )
-  | "Div" -> Some ( /. )
-  | "Pow" -> Some ( ** )
-  | "Mod" -> Some floor_mod
-  | "Maximum" -> Some Float.max
-  | "Minimum" -> Some Float.min
-  | "ReluGrad" -> Some (fun g v -> if v > 0.0 then g else 0.0)
-  | _ -> None
+let unary_ops : (string * unary_block) list =
+  [
+    ( "Neg",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- -.a.(aof + i)
+        done );
+    ( "Abs",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- Float.abs a.(aof + i)
+        done );
+    ( "Sign",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          let x = a.(aof + i) in
+          d.(dof + i) <-
+            (if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0)
+        done );
+    ( "Exp",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- Stdlib.exp a.(aof + i)
+        done );
+    ( "Log",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- Stdlib.log a.(aof + i)
+        done );
+    ( "Sqrt",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- Stdlib.sqrt a.(aof + i)
+        done );
+    ( "Square",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          let x = a.(aof + i) in
+          d.(dof + i) <- x *. x
+        done );
+    ( "Reciprocal",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- 1.0 /. a.(aof + i)
+        done );
+    (* [Float.max 0.0 x], spelled out so the loop makes no call: x when
+       x > 0 or NaN, else +0 (so -0 maps to +0). *)
+    ( "Relu",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          let x = a.(aof + i) in
+          d.(dof + i) <- (if x > 0.0 || Float.is_nan x then x else 0.0)
+        done );
+    ( "Sigmoid",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- 1.0 /. (1.0 +. Stdlib.exp (-.a.(aof + i)))
+        done );
+    ( "Tanh",
+      fun d dof a aof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- Stdlib.tanh a.(aof + i)
+        done );
+  ]
 
-let is_unary op = Option.is_some (unary_fn op)
-let is_binary op = Option.is_some (binary_fn op)
+let binary_ops : (string * binary_block) list =
+  [
+    ( "Add",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- a.(aof + i) +. b.(bof + i)
+        done );
+    ( "Sub",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- a.(aof + i) -. b.(bof + i)
+        done );
+    ( "Mul",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- a.(aof + i) *. b.(bof + i)
+        done );
+    ( "Div",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- a.(aof + i) /. b.(bof + i)
+        done );
+    ( "Pow",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- a.(aof + i) ** b.(bof + i)
+        done );
+    (* Floor-mod (TF FloorMod): the result takes the divisor's sign and
+       fractional operands are exact, with no truncation through int. *)
+    ( "Mod",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          let y = b.(bof + i) in
+          let r = Float.rem a.(aof + i) y in
+          d.(dof + i) <-
+            (if r <> 0.0 && r < 0.0 <> (y < 0.0) then r +. y else r)
+        done );
+    ( "Maximum",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- Float.max a.(aof + i) b.(bof + i)
+        done );
+    ( "Minimum",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- Float.min a.(aof + i) b.(bof + i)
+        done );
+    (* ReluGrad (dy, x): dy where the forward input x is positive. *)
+    ( "ReluGrad",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- (if b.(bof + i) > 0.0 then a.(aof + i) else 0.0)
+        done );
+  ]
+
+(* Comparisons produce 1.0 / 0.0 and a Bool tensor. They are not
+   fusable (a Bool value cannot feed an arithmetic op), so they live
+   apart from [binary_ops]. *)
+let comparison_ops : (string * binary_block) list =
+  [
+    ( "Equal",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- (if a.(aof + i) = b.(bof + i) then 1.0 else 0.0)
+        done );
+    ( "Less",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- (if a.(aof + i) < b.(bof + i) then 1.0 else 0.0)
+        done );
+    ( "Greater",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- (if a.(aof + i) > b.(bof + i) then 1.0 else 0.0)
+        done );
+    ( "GreaterEqual",
+      fun d dof a aof b bof len ->
+        for i = 0 to len - 1 do
+          d.(dof + i) <- (if a.(aof + i) >= b.(bof + i) then 1.0 else 0.0)
+        done );
+  ]
+
+(* Select (cond, a, b): a where cond is non-zero, else b. *)
+let select_block d dof c cof a aof b bof len =
+  for i = 0 to len - 1 do
+    d.(dof + i) <- (if c.(cof + i) <> 0.0 then a.(aof + i) else b.(bof + i))
+  done
+
+let unary_op_names = List.map fst unary_ops
+let binary_op_names = List.map fst binary_ops
+let is_unary op = List.mem_assoc op unary_ops
+let is_binary op = List.mem_assoc op binary_ops
+
+let find table kind op =
+  match List.assoc_opt op table with
+  | Some f -> f
+  | None -> invalid_arg (Printf.sprintf "Fused_eval: unknown %s %s" kind op)
 
 let rec num_inputs = function
   | Input k -> k + 1
   | Unary (_, e) -> num_inputs e
-  | Binary (_, a, b) -> Stdlib.max (num_inputs a) (num_inputs b)
+  | Binary (_, a, b) -> max (num_inputs a) (num_inputs b)
 
 let rec op_count = function
   | Input _ -> 0
@@ -99,266 +238,341 @@ let of_postfix tokens =
   | [ e ] -> e
   | _ -> invalid_arg "Fused_eval.of_postfix: ill-formed expression"
 
-(* Execution is a blocked stack machine: the postfix expression runs
-   over L1-resident scratch chunks, one tight loop per operation per
-   chunk, with the scalar primitive inlined into the loop body. A naive
-   per-element closure tree pays a boxed-float allocation per operation
-   per element (OCaml boxes float returns across closure calls), which
-   costs more than the memory passes fusion is meant to save; blocking
-   amortizes operator dispatch over [chunk] elements and keeps every
-   intermediate in an unboxed float array. *)
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
 
-let chunk = 1024
+(* The broadcast loader, the one way an operand is read unless it
+   already has the output's element count. [loader src src_shape
+   out_shape] returns [fun dst dof pos len], writing the source
+   elements at output flat indices [pos, pos + len) to
+   [dst.(dof .. dof + len - 1)].
 
-(* Per-op chunk loops with the primitive inlined. The scalar formulas
-   are character-for-character those of [unary_fn]/[binary_fn] (which
-   standalone kernels use), so blocked evaluation stays bit-identical.
-   Unlisted ops fall back to the closure-per-element loop. *)
-let unary_block op : float array -> int -> unit =
-  match op with
-  | "Neg" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          a.(i) <- -.a.(i)
-        done
-  | "Abs" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          a.(i) <- Float.abs a.(i)
-        done
-  | "Sign" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          let x = a.(i) in
-          a.(i) <- (if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0)
-        done
-  | "Exp" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          a.(i) <- Stdlib.exp a.(i)
-        done
-  | "Log" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          a.(i) <- Stdlib.log a.(i)
-        done
-  | "Sqrt" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          a.(i) <- Stdlib.sqrt a.(i)
-        done
-  | "Square" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          let x = a.(i) in
-          a.(i) <- x *. x
-        done
-  | "Reciprocal" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          a.(i) <- 1.0 /. a.(i)
-        done
-  | "Relu" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          a.(i) <- Float.max 0.0 a.(i)
-        done
-  | "Sigmoid" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          a.(i) <- 1.0 /. (1.0 +. Stdlib.exp (-.a.(i)))
-        done
-  | "Tanh" ->
-      fun a len ->
-        for i = 0 to len - 1 do
-          a.(i) <- Stdlib.tanh a.(i)
-        done
-  | op -> (
-      match unary_fn op with
-      | Some f ->
-          fun a len ->
-            for i = 0 to len - 1 do
-              a.(i) <- f a.(i)
-            done
-      | None -> invalid_arg ("Fused_eval: unknown unary " ^ op))
+   The output dimensions (size-1 ones dropped) are merged into groups
+   of adjacent dimensions the source either spans (copied, contiguous
+   in the source) or broadcasts (repeated). The innermost group yields
+   runs: a copy of consecutive source elements, or a fill with one. An
+   odometer over the outer groups moves the source offset once per run,
+   so a [C]-element bias broadcast over [N;H;W;C] costs one short copy
+   per C elements and no per-element index arithmetic. *)
+let loader src src_shape out_shape =
+  let r = Array.length out_shape and rs = Array.length src_shape in
+  let size = Array.make (imax 1 r) 1 in
+  let stride = Array.make (imax 1 r) 0 in
+  let groups = ref 0 and src_stride = ref 1 in
+  for dim = r - 1 downto 0 do
+    let od = out_shape.(dim) in
+    if od <> 1 then begin
+      let sd = if dim < r - rs then 1 else src_shape.(dim - (r - rs)) in
+      let copied = sd <> 1 in
+      let g = !groups - 1 in
+      if g >= 0 && (stride.(g) <> 0) = copied then size.(g) <- size.(g) * od
+      else begin
+        size.(!groups) <- od;
+        stride.(!groups) <- (if copied then !src_stride else 0);
+        incr groups
+      end;
+      if copied then src_stride := !src_stride * sd
+    end
+  done;
+  let groups = imax 1 !groups in
+  let inner = size.(0) and copied = stride.(0) <> 0 in
+  fun dst dof pos len ->
+    let digit = Array.make groups 0 in
+    let base = ref 0 and rest = ref (pos / inner) in
+    for g = 1 to groups - 1 do
+      digit.(g) <- !rest mod size.(g);
+      base := !base + (digit.(g) * stride.(g));
+      rest := !rest / size.(g)
+    done;
+    let at = ref (pos mod inner) and k = ref 0 in
+    while !k < len do
+      let run = imin (inner - !at) (len - !k) in
+      let o = dof + !k in
+      (if copied then begin
+         let s = !base + !at in
+         for i = 0 to run - 1 do
+           dst.(o + i) <- src.(s + i)
+         done
+       end
+       else
+         let v = src.(!base) in
+         for i = 0 to run - 1 do
+           dst.(o + i) <- v
+         done);
+      k := !k + run;
+      at := 0;
+      (* Advance the outer odometer by one inner row. *)
+      let g = ref 1 in
+      while !g < groups do
+        digit.(!g) <- digit.(!g) + 1;
+        base := !base + stride.(!g);
+        if digit.(!g) = size.(!g) then begin
+          digit.(!g) <- 0;
+          base := !base - (size.(!g) * stride.(!g));
+          incr g
+        end
+        else g := groups
+      done
+    done
 
-let binary_block op : float array -> float array -> int -> unit =
-  match op with
-  | "Add" ->
-      fun a b len ->
-        for i = 0 to len - 1 do
-          a.(i) <- a.(i) +. b.(i)
-        done
-  | "Sub" ->
-      fun a b len ->
-        for i = 0 to len - 1 do
-          a.(i) <- a.(i) -. b.(i)
-        done
-  | "Mul" ->
-      fun a b len ->
-        for i = 0 to len - 1 do
-          a.(i) <- a.(i) *. b.(i)
-        done
-  | "Div" ->
-      fun a b len ->
-        for i = 0 to len - 1 do
-          a.(i) <- a.(i) /. b.(i)
-        done
-  | "Pow" ->
-      fun a b len ->
-        for i = 0 to len - 1 do
-          a.(i) <- a.(i) ** b.(i)
-        done
-  | "Mod" ->
-      fun a b len ->
-        for i = 0 to len - 1 do
-          a.(i) <- floor_mod a.(i) b.(i)
-        done
-  | "Maximum" ->
-      fun a b len ->
-        for i = 0 to len - 1 do
-          a.(i) <- Float.max a.(i) b.(i)
-        done
-  | "Minimum" ->
-      fun a b len ->
-        for i = 0 to len - 1 do
-          a.(i) <- Float.min a.(i) b.(i)
-        done
-  | "ReluGrad" ->
-      fun a b len ->
-        for i = 0 to len - 1 do
-          a.(i) <- (if a.(i) > 0.0 then b.(i) else 0.0)
-        done
-  | op -> (
-      match binary_fn op with
-      | Some f ->
-          fun a b len ->
-            for i = 0 to len - 1 do
-              a.(i) <- f a.(i) b.(i)
-            done
-      | None -> invalid_arg ("Fused_eval: unknown binary " ^ op))
-
-(* Non-float variant: binary results truncate through int, exactly as a
-   chain of standalone [map2_f] kernels would materialize them. The
-   generic closure loop is fine here — integer graphs are small. *)
-let binary_block_int op : float array -> float array -> int -> unit =
-  match binary_fn op with
-  | Some f ->
-      fun a b len ->
-        for i = 0 to len - 1 do
-          a.(i) <- float_of_int (int_of_float (f a.(i) b.(i)))
-        done
-  | None -> invalid_arg ("Fused_eval: unknown binary " ^ op)
-
-(* One compiled step of the stack machine. [Load] fills the next free
-   scratch slot from an input for elements [pos .. pos+len); [Un]
-   rewrites the top slot in place; [Bin] combines the top two slots
-   into the lower one and pops. *)
+(* A compiled program is the expression in postfix: [Arg k] pushes
+   input k, [Un]/[Bin] replace the top one/two stack entries with their
+   result, [Sel] the top three (cond, a, b). *)
 type step =
-  | Load of (float array -> int -> int -> unit)
-  | Un of (float array -> int -> unit)
-  | Bin of (float array -> float array -> int -> unit)
+  | Arg of int
+  | Un of unary_block
+  | Bin of binary_block
+  | Sel
 
-let compile_steps ~floating ~loads expr =
-  List.map
-    (fun tok ->
-      if String.length tok > 2 && String.sub tok 0 2 = "in" then
-        Load loads.(int_of_string (String.sub tok 2 (String.length tok - 2)))
-      else if is_unary tok then Un (unary_block tok)
-      else Bin (if floating then binary_block tok else binary_block_int tok))
-    (to_postfix expr)
+type program = { steps : step array; depth : int; ops : int }
 
-let rec stack_depth = function
-  | Input _ -> 1
-  | Unary (_, e) -> stack_depth e
-  (* left-to-right postfix: a's tokens run first, then b's on top *)
-  | Binary (_, a, b) -> Stdlib.max (stack_depth a) (1 + stack_depth b)
+let compile expr =
+  let rec go acc = function
+    | Input k -> Arg k :: acc
+    | Unary (op, e) -> Un (find unary_ops "unary" op) :: go acc e
+    | Binary (op, a, b) ->
+        Bin (find binary_ops "binary" op) :: go (go acc a) b
+  in
+  let rec depth = function
+    | Input _ -> 1
+    | Unary (_, e) -> depth e
+    (* left-to-right postfix: a's tokens run first, then b's on top *)
+    | Binary (_, a, b) -> max (depth a) (1 + depth b)
+  in
+  {
+    steps = Array.of_list (List.rev (go [] expr));
+    depth = depth expr;
+    ops = op_count expr;
+  }
 
-let root_is_binary = function Binary _ -> true | _ -> false
+(* How each input is read: in place when it already has the output's
+   element count (its broadcast is the identity), through the loader
+   otherwise. *)
+type access =
+  | View of float array
+  | Load of (float array -> int -> int -> int -> unit)
+
+(* 256 floats, so each scratch chunk is a minor-heap allocation
+   (Max_young_wosize is 256 words). With 1024 every broadcast op
+   allocated its scratch in the major heap, and the serve_cnn workload's
+   peak RSS rose from 55 to 86 MB. *)
+let chunk = 256
+
+(* Shards span at least this many elements (half as many when the
+   per-element work is more than one op on operands read in place):
+   below it the intra-op dispatch costs more than the loop. *)
+let grain = 8192
+
+(* How the stack machine reads input [t] for an output of [n]
+   elements. *)
+let access_of ~n ~out_shape t =
+  let buf =
+    if Dtype.is_floating (Tensor.dtype t) then Tensor.float_buffer t
+    else Tensor.to_float_array t
+  in
+  if Array.length buf = n then View buf
+  else Load (loader buf (Tensor.shape t) out_shape)
+
+(* The stack machine over [prog]: the shard body writing [out]. A
+   shard walks its index range in chunks of at most [chunk] elements
+   and runs every step over the chunk, so operator dispatch is paid
+   once per chunk and intermediates stay in L1-sized scratch. Stack
+   entries are (buffer, offset) pairs: an input with the output's
+   element count is used in place, and the bottom slot writes straight
+   into [out] when aliasing allows. *)
+let stack_machine ~granted ~truncate ~out_shape ~n prog inputs out =
+  let access = Array.map (access_of ~n ~out_shape) inputs in
+  (* The bottom slot writes into [out] unless [out] is a granted input
+     buffer that a later step might still read: then it lives in
+     scratch and is copied out at the end of each chunk. With one op,
+     only a broadcast load into the bottom slot writes [out] early. *)
+  let bottom =
+    (not granted)
+    || prog.ops = 1
+       &&
+       match prog.steps.(0) with
+       | Arg k -> ( match access.(k) with View _ -> true | Load _ -> false)
+       | Un _ | Bin _ | Sel -> false
+  in
+  let steps = prog.steps and depth = prog.depth in
+  fun lo hi ->
+    let scratch = Array.make depth [||] in
+    let ebuf = Array.make depth out and eoff = Array.make depth 0 in
+    (* Point stack slot [p] at where its next value is written. *)
+    let target p pos =
+      if p = 0 && bottom then begin
+        ebuf.(0) <- out;
+        eoff.(0) <- pos
+      end
+      else begin
+        if Array.length scratch.(p) = 0 then
+          scratch.(p) <- Array.create_float (imin chunk (hi - lo));
+        ebuf.(p) <- scratch.(p);
+        eoff.(p) <- 0
+      end
+    in
+    let next = ref lo in
+    while !next < hi do
+      let pos = !next in
+      let len = imin chunk (hi - pos) in
+      next := pos + len;
+      let sp = ref 0 in
+      for s = 0 to Array.length steps - 1 do
+        let p =
+          match steps.(s) with
+          | Arg k ->
+              let p = !sp in
+              (match access.(k) with
+              | View b ->
+                  ebuf.(p) <- b;
+                  eoff.(p) <- pos
+              | Load load ->
+                  target p pos;
+                  load ebuf.(p) eoff.(p) pos len);
+              incr sp;
+              -1
+          | Un f ->
+              let p = !sp - 1 in
+              let a = ebuf.(p) and ao = eoff.(p) in
+              target p pos;
+              f ebuf.(p) eoff.(p) a ao len;
+              p
+          | Bin f ->
+              let p = !sp - 2 in
+              let a = ebuf.(p) and ao = eoff.(p) in
+              target p pos;
+              f ebuf.(p) eoff.(p) a ao ebuf.(p + 1) eoff.(p + 1) len;
+              decr sp;
+              p
+          | Sel ->
+              let p = !sp - 3 in
+              let c = ebuf.(p) and co = eoff.(p) in
+              target p pos;
+              select_block ebuf.(p) eoff.(p) c co ebuf.(p + 1)
+                eoff.(p + 1) ebuf.(p + 2) eoff.(p + 2) len;
+              sp := p + 1;
+              -1
+        in
+        (* An arithmetic op's non-float result truncates before the
+           next op reads it. *)
+        if truncate && p >= 0 then begin
+          let d = ebuf.(p) and o = eoff.(p) in
+          for i = o to o + len - 1 do
+            d.(i) <- float_of_int (int_of_float d.(i))
+          done
+        end
+      done;
+      if not (ebuf.(0) == out && eoff.(0) = pos) then
+        Array.blit ebuf.(0) eoff.(0) out pos len
+    done
+
+(* Evaluate [prog] over [out_shape] into a [dtype] tensor. *)
+let run ?out ~dtype ~truncate ~out_shape prog inputs =
+  let n = Shape.numel out_shape in
+  let floating = Dtype.is_floating dtype in
+  let granted =
+    match out with
+    | Some o -> floating && Array.length o = n
+    | None -> false
+  in
+  let out =
+    match out with
+    | Some o when granted -> o
+    | _ when floating -> Buffer_pool.alloc_float ~zero:false n
+    | _ -> Array.create_float n
+  in
+  (* Inputs that are float buffers of the output's size are read in
+     place; a smaller one broadcasts through the loader. *)
+  let in_place = ref true and loads = ref false in
+  for k = 0 to Array.length inputs - 1 do
+    match inputs.(k).Tensor.buf with
+    | Tensor.Float_buf a when Array.length a = n -> ()
+    | _ ->
+        in_place := false;
+        if Tensor.numel inputs.(k) <> n then loads := true
+  done;
+  let grain = if prog.ops > 1 || !loads then grain / 2 else grain in
+  (* One float op over in-place operands: the op's block loop runs over
+     the whole shard straight into [out], with none of the stack
+     machine's set-up, which would cost a 10-element op more than its
+     loop. Safe under any aliasing: the loop reads index i before it
+     writes it. *)
+  let shard =
+    match (prog.steps, inputs) with
+    | [| Arg 0; Un f |], [| { buf = Float_buf a; _ } |] when !in_place ->
+        fun lo hi -> f out lo a lo (hi - lo)
+    | ( [| Arg 0; Arg 1; Bin f |],
+        [| { buf = Float_buf a; _ }; { buf = Float_buf b; _ } |] )
+      when !in_place ->
+        fun lo hi -> f out lo a lo b lo (hi - lo)
+    | _ -> stack_machine ~granted ~truncate ~out_shape ~n prog inputs out
+  in
+  Parallel.parallel_for ~grain n shard;
+  if floating then Tensor.create dtype out_shape (Float_buf out)
+  else Tensor.cast (Tensor.create Dtype.F64 out_shape (Float_buf out)) dtype
+
+let broadcast_shape inputs =
+  let shape = ref (Tensor.shape inputs.(0)) in
+  for k = 1 to Array.length inputs - 1 do
+    let s = Tensor.shape inputs.(k) in
+    if not (Shape.equal !shape s) then shape := Shape.broadcast !shape s
+  done;
+  !shape
+
+(* Arithmetic: every input has the result's dtype. *)
+let run_arith ?out prog inputs =
+  let dtype = Tensor.dtype inputs.(0) in
+  for k = 1 to Array.length inputs - 1 do
+    let d = Tensor.dtype inputs.(k) in
+    if not (Dtype.equal d dtype) then
+      invalid_arg
+        (Printf.sprintf "Fused_eval: dtype mismatch %s vs %s"
+           (Dtype.to_string dtype) (Dtype.to_string d))
+  done;
+  run ?out ~dtype ~truncate:(not (Dtype.is_floating dtype))
+    ~out_shape:(broadcast_shape inputs) prog inputs
 
 let eval ?out expr inputs =
-  let n_in = Array.length inputs in
-  if n_in < num_inputs expr then
+  if Array.length inputs < num_inputs expr then
     invalid_arg "Fused_eval.eval: expression references missing inputs";
-  let dtype = Tensor.dtype inputs.(0) in
-  Array.iter
-    (fun t ->
-      if not (Dtype.equal (Tensor.dtype t) dtype) then
-        invalid_arg "Fused_eval.eval: input dtype mismatch")
-    inputs;
-  let out_shape =
-    Array.fold_left
-      (fun acc t -> Shape.broadcast acc (Tensor.shape t))
-      [||] inputs
+  run_arith ?out (compile expr) inputs
+
+let unary op =
+  let prog = compile (Unary (op, Input 0)) in
+  fun ?out t ->
+    let dtype = t.Tensor.dtype in
+    run ?out ~dtype ~truncate:(not (Dtype.is_floating dtype))
+      ~out_shape:t.Tensor.shape prog [| t |]
+
+let binary op =
+  let prog = compile (Binary (op, Input 0, Input 1)) in
+  fun ?out a b -> run_arith ?out prog [| a; b |]
+
+let comparison op =
+  let prog =
+    {
+      steps = [| Arg 0; Arg 1; Bin (find comparison_ops "comparison" op) |];
+      depth = 2;
+      ops = 1;
+    }
   in
-  let n = Shape.numel out_shape in
-  (* Per-input chunk loads: a blit when the input already has the
-     output's element count (its plan is the identity), a fill for
-     scalars, the stride plan otherwise. *)
-  let loads =
-    Array.map
-      (fun t ->
-        let numel = Tensor.numel t in
-        if Dtype.is_floating (Tensor.dtype t) then begin
-          let buf = Tensor.float_buffer t in
-          if numel = n then fun dst pos len -> Array.blit buf pos dst 0 len
-          else if numel = 1 then begin
-            let v = buf.(0) in
-            fun dst _ len -> Array.fill dst 0 len v
-          end
-          else begin
-            let plan = Tensor.broadcast_plan t out_shape in
-            fun dst pos len ->
-              for i = 0 to len - 1 do
-                dst.(i) <- buf.(Tensor.plan_index plan (pos + i))
-              done
-          end
-        end
-        else if numel = n then fun dst pos len ->
-          for i = 0 to len - 1 do
-            dst.(i) <- Tensor.flat_get_f t (pos + i)
-          done
-        else if numel = 1 then begin
-          let v = Tensor.flat_get_f t 0 in
-          fun dst _ len -> Array.fill dst 0 len v
-        end
-        else begin
-          let plan = Tensor.broadcast_plan t out_shape in
-          fun dst pos len ->
-            for i = 0 to len - 1 do
-              dst.(i) <- Tensor.flat_get_f t (Tensor.plan_index plan (pos + i))
-            done
-        end)
-      inputs
-  in
-  let floating = Dtype.is_floating dtype in
-  let steps = compile_steps ~floating ~loads expr in
-  let depth = stack_depth expr in
-  let out = Tensor.use_or_alloc out n in
-  Parallel.parallel_for ~grain:(Tensor.elementwise_grain / 2) n (fun lo hi ->
-      let scratch = Array.init depth (fun _ -> Array.make chunk 0.0) in
-      let pos = ref lo in
-      while !pos < hi do
-        let len = Stdlib.min chunk (hi - !pos) in
-        let sp = ref 0 in
-        List.iter
-          (fun s ->
-            match s with
-            | Load load ->
-                load scratch.(!sp) !pos len;
-                incr sp
-            | Un f -> f scratch.(!sp - 1) len
-            | Bin f ->
-                f scratch.(!sp - 2) scratch.(!sp - 1) len;
-                decr sp)
-          steps;
-        Array.blit scratch.(0) 0 out !pos len;
-        pos := !pos + len
-      done);
-  if floating then Tensor.of_float_array ~dtype out_shape out
-  else if root_is_binary expr then
-    (* map2_f materializes integer results through int_of_float ... *)
-    Tensor.of_int_array ~dtype out_shape (Array.map int_of_float out)
-  else
-    (* ... while map_f keeps the float buffer under the integer dtype. *)
-    Tensor.of_float_array ~dtype out_shape out
+  fun a b ->
+    let inputs = [| a; b |] in
+    run ~dtype:Dtype.Bool ~truncate:false ~out_shape:(broadcast_shape inputs)
+      prog inputs
+
+let select_prog =
+  { steps = [| Arg 0; Arg 1; Arg 2; Sel |]; depth = 3; ops = 1 }
+
+let select cond a b =
+  let inputs = [| cond; a; b |] in
+  run ~dtype:(Tensor.dtype a) ~truncate:false
+    ~out_shape:(broadcast_shape inputs) select_prog inputs
+
+let identity_prog = { steps = [| Arg 0 |]; depth = 1; ops = 0 }
+
+let broadcast_to t target =
+  if not (Shape.equal (Shape.broadcast (Tensor.shape t) target) target) then
+    invalid_arg "Fused_eval.broadcast_to: not broadcastable to target";
+  run ~dtype:(Tensor.dtype t) ~truncate:false ~out_shape:target identity_prog
+    [| t |]

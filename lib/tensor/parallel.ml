@@ -69,8 +69,11 @@ let parallel_for ?(grain = default_grain) n body =
   if n > 0 then begin
     let grain = max 1 grain in
     let t = Atomic.get threads_cell in
-    let in_parallel = Domain.DLS.get in_parallel_key in
-    if t <= 1 || n <= grain || !in_parallel || !backend = None then body 0 n
+    (* Cheapest tests first: most calls are small and run inline. *)
+    if
+      n <= grain || t <= 1 || !backend = None
+      || !(Domain.DLS.get in_parallel_key)
+    then body 0 n
     else begin
       let shards = min t ((n + grain - 1) / grain) in
       if shards <= 1 then body 0 n

@@ -6,12 +6,19 @@ let equal (a : t) (b : t) = a = b
 
 let rank (s : t) = Array.length s
 
-let numel (s : t) = Array.fold_left ( * ) 1 s
+(* Loops rather than a fold or iter: every tensor creation runs both,
+   and a closure call per dimension shows on small tensors. *)
+let numel (s : t) =
+  let n = ref 1 in
+  for i = 0 to Array.length s - 1 do
+    n := !n * s.(i)
+  done;
+  !n
 
 let validate (s : t) =
-  Array.iter
-    (fun d -> if d < 0 then invalid_arg "Shape.validate: negative dimension")
-    s
+  for i = 0 to Array.length s - 1 do
+    if s.(i) < 0 then invalid_arg "Shape.validate: negative dimension"
+  done
 
 let to_string (s : t) =
   if rank s = 0 then "[]"

@@ -232,113 +232,6 @@ let cast t new_dtype =
           (Array.init (numel t) (fun i -> flat_get_f t i <> 0.0))
     | Dtype.String -> invalid_arg "Tensor.cast: cannot cast to string"
 
-(* Elementwise loops shard over the flat index space; below this many
-   elements the dispatch overhead outweighs the loop and the sharder
-   runs inline. *)
-let elementwise_grain = 8192
-
-(* The executor may hand an input's backing buffer as [out] (in-place
-   grant).  Elementwise loops read index [i] before writing index [i],
-   so aliasing input and output is safe; buffers of the wrong length
-   are ignored and a fresh one is allocated. *)
-let use_or_alloc out n =
-  match out with
-  | Some o when Array.length o = n -> o
-  | _ -> Buffer_pool.alloc_float ~zero:false n
-
-let map_f ?out f t =
-  let a = float_buffer t in
-  let n = Array.length a in
-  let out = use_or_alloc out n in
-  Parallel.parallel_for ~grain:elementwise_grain n (fun lo hi ->
-      for i = lo to hi - 1 do
-        out.(i) <- f a.(i)
-      done);
-  { t with buf = Float_buf out }
-
-(* Broadcast iteration: map an output flat index back into an operand by
-   a precomputed per-dimension stride plan (stride 0 on broadcast
-   dimensions), avoiding any per-element allocation. *)
-type bplan = {
-  bp_out_strides : int array;
-  bp_out_dims : int array;
-  bp_src_strides : int array;
-}
-
-let broadcast_plan t out_shape =
-  let r = Shape.rank out_shape and rt = rank t in
-  let out_strides = Shape.strides out_shape in
-  let src_strides = Shape.strides t.shape in
-  let bp_src_strides =
-    Array.init r (fun d ->
-        let td = d - (r - rt) in
-        if td < 0 || t.shape.(td) = 1 then 0 else src_strides.(td))
-  in
-  { bp_out_strides = out_strides; bp_out_dims = Array.copy out_shape; bp_src_strides }
-
-let plan_index plan i =
-  let acc = ref 0 in
-  for d = 0 to Array.length plan.bp_src_strides - 1 do
-    let s = plan.bp_src_strides.(d) in
-    if s <> 0 then
-      acc := !acc + (i / plan.bp_out_strides.(d) mod plan.bp_out_dims.(d)) * s
-  done;
-  !acc
-
-let broadcast_index t out_shape =
-  if Shape.equal t.shape out_shape then fun i -> i
-  else begin
-    let plan = broadcast_plan t out_shape in
-    fun i -> plan_index plan i
-  end
-
-let map2_generic ?out f a b =
-  let out_shape = Shape.broadcast a.shape b.shape in
-  let n = Shape.numel out_shape in
-  (* A granted buffer aliasing [a] or [b] is only length-compatible
-     when the aliased operand's broadcast plan is the identity, so the
-     read-index-i-before-write-index-i discipline below holds in the
-     broadcast branch too. *)
-  let out = use_or_alloc out n in
-  (if Shape.equal a.shape b.shape then
-     match (a.buf, b.buf) with
-     | Float_buf da, Float_buf db ->
-         (* Fast path: direct float-array indexing. *)
-         Parallel.parallel_for ~grain:elementwise_grain n (fun lo hi ->
-             for i = lo to hi - 1 do
-               out.(i) <- f da.(i) db.(i)
-             done)
-     | _ ->
-         Parallel.parallel_for ~grain:elementwise_grain n (fun lo hi ->
-             for i = lo to hi - 1 do
-               out.(i) <- f (flat_get_f a i) (flat_get_f b i)
-             done)
-   else begin
-     let pa = broadcast_plan a out_shape and pb = broadcast_plan b out_shape in
-     Parallel.parallel_for ~grain:(elementwise_grain / 2) n (fun lo hi ->
-         for i = lo to hi - 1 do
-           out.(i) <-
-             f (flat_get_f a (plan_index pa i)) (flat_get_f b (plan_index pb i))
-         done)
-   end);
-  (out_shape, out)
-
-let map2_f ?out f a b =
-  if not (Dtype.equal a.dtype b.dtype) then
-    invalid_arg
-      (Printf.sprintf "Tensor.map2_f: dtype mismatch %s vs %s"
-         (Dtype.to_string a.dtype) (Dtype.to_string b.dtype));
-  let out_shape, out = map2_generic ?out f a b in
-  if Dtype.is_floating a.dtype then of_float_array ~dtype:a.dtype out_shape out
-  else
-    of_int_array ~dtype:a.dtype out_shape (Array.map int_of_float out)
-
-let map2_cmp f a b =
-  let out_shape, out =
-    map2_generic (fun x y -> if f x y then 1.0 else 0.0) a b
-  in
-  of_bool_array out_shape (Array.map (fun v -> v <> 0.0) out)
-
 let fold_f f init t =
   let acc = ref init in
   for i = 0 to numel t - 1 do

@@ -118,51 +118,6 @@ val reshape : t -> Shape.t -> t
 
 val cast : t -> Dtype.t -> t
 
-val map_f : ?out:float array -> (float -> float) -> t -> t
-(** Elementwise map over a float-backed tensor. Large tensors shard
-    across the intra-op thread budget (see {!Parallel}); results are
-    bit-identical for every thread count. [?out] lets the executor's
-    memory planner supply a reusable output buffer (it may alias the
-    input's buffer — the loop reads index [i] before writing it);
-    buffers of the wrong length are ignored. *)
-
-val map2_f :
-  ?out:float array -> (float -> float -> float) -> t -> t -> t
-(** Elementwise with numpy-style broadcasting; result dtype is the
-    operand dtype (both must match). Sharded like {!map_f}; [?out] as
-    in {!map_f}. *)
-
-val broadcast_index : t -> Shape.t -> int -> int
-(** [broadcast_index t out_shape] maps a flat index of [out_shape] to
-    the flat index of [t] under numpy broadcasting. Partial application
-    precomputes the stride plan; the returned function allocates
-    nothing, so kernels can iterate an output space once and read every
-    operand directly. *)
-
-type bplan
-(** A precomputed broadcast stride plan: per-dimension strides into a
-    source tensor, with stride 0 on broadcast dimensions. *)
-
-val broadcast_plan : t -> Shape.t -> bplan
-(** [broadcast_plan t out_shape] builds the plan {!broadcast_index}
-    uses internally; {!plan_index} applies it. Exposed so multi-operand
-    kernels (the fused elementwise evaluator) can hold one plan per
-    operand and map each output index without per-element closures. *)
-
-val plan_index : bplan -> int -> int
-
-val elementwise_grain : int
-(** Minimum flat-index span worth sharding across the intra-op pool;
-    below it dispatch overhead beats the loop. *)
-
-val use_or_alloc : float array option -> int -> float array
-(** [use_or_alloc out n] returns [out]'s buffer when it has exactly [n]
-    elements (the executor's in-place grant), else a fresh pool
-    allocation. *)
-
-val map2_cmp : (float -> float -> bool) -> t -> t -> t
-(** Broadcasting comparison producing a [Bool] tensor. *)
-
 val fold_f : ('a -> float -> 'a) -> 'a -> t -> 'a
 
 val equal : t -> t -> bool

@@ -5,86 +5,36 @@ module T = Tensor
    [item_cost]; loops cheaper than one grain run inline. *)
 let grain_for ~item_cost ~target_work = max 1 (target_work / max 1 item_cost)
 
-(* Elementwise ops take [?out] so kernels granted an in-place buffer by
-   the executor's memory planner can reuse an input's backing store
-   (see Tensor.map_f / map2_f for the aliasing discipline). *)
-let add ?out a b = T.map2_f ?out ( +. ) a b
+(* Elementwise ops are one-op expressions on the elementwise engine
+   (Fused_eval), the same loops a fused group runs. They take [?out] so
+   kernels granted an in-place buffer by the executor's memory planner
+   can reuse an input's backing store. *)
+let add = Fused_eval.binary "Add"
+let sub = Fused_eval.binary "Sub"
+let mul = Fused_eval.binary "Mul"
+let div = Fused_eval.binary "Div"
+let maximum = Fused_eval.binary "Maximum"
+let minimum = Fused_eval.binary "Minimum"
+let pow = Fused_eval.binary "Pow"
+let modulo = Fused_eval.binary "Mod"
+let neg = Fused_eval.unary "Neg"
+let abs = Fused_eval.unary "Abs"
+let sign = Fused_eval.unary "Sign"
+let exp = Fused_eval.unary "Exp"
+let log = Fused_eval.unary "Log"
+let sqrt = Fused_eval.unary "Sqrt"
+let square = Fused_eval.unary "Square"
+let reciprocal = Fused_eval.unary "Reciprocal"
+let relu = Fused_eval.unary "Relu"
+let relu_grad = Fused_eval.binary "ReluGrad"
+let sigmoid = Fused_eval.unary "Sigmoid"
+let tanh = Fused_eval.unary "Tanh"
+let equal = Fused_eval.comparison "Equal"
+let less = Fused_eval.comparison "Less"
+let greater = Fused_eval.comparison "Greater"
+let greater_equal = Fused_eval.comparison "GreaterEqual"
 
-let sub ?out a b = T.map2_f ?out ( -. ) a b
-
-let mul ?out a b = T.map2_f ?out ( *. ) a b
-
-let div ?out a b = T.map2_f ?out ( /. ) a b
-
-let maximum ?out a b = T.map2_f ?out Float.max a b
-
-let minimum ?out a b = T.map2_f ?out Float.min a b
-
-let pow ?out a b = T.map2_f ?out ( ** ) a b
-
-(* Floor-mod (TF FloorMod): the result takes the divisor's sign and
-   fractional operands are handled exactly — no truncation through int,
-   which was wrong for fractions and overflowed for large floats. *)
-let floor_mod a b =
-  let r = Float.rem a b in
-  if r <> 0.0 && r < 0.0 <> (b < 0.0) then r +. b else r
-
-let modulo ?out a b = T.map2_f ?out floor_mod a b
-
-let neg ?out t = T.map_f ?out (fun x -> -.x) t
-
-let abs ?out t = T.map_f ?out Float.abs t
-
-let sign ?out t =
-  T.map_f ?out (fun x -> if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0) t
-
-let exp ?out t = T.map_f ?out Stdlib.exp t
-
-let log ?out t = T.map_f ?out Stdlib.log t
-
-let sqrt ?out t = T.map_f ?out Stdlib.sqrt t
-
-let square ?out t = T.map_f ?out (fun x -> x *. x) t
-
-let reciprocal ?out t = T.map_f ?out (fun x -> 1.0 /. x) t
-
-let relu ?out t = T.map_f ?out (fun x -> Float.max 0.0 x) t
-
-let relu_grad ?out dy x =
-  T.map2_f ?out (fun g v -> if v > 0.0 then g else 0.0) dy x
-
-let sigmoid ?out t = T.map_f ?out (fun x -> 1.0 /. (1.0 +. Stdlib.exp (-.x))) t
-
-let tanh ?out t = T.map_f ?out Stdlib.tanh t
-
-let equal = T.map2_cmp (fun a b -> a = b)
-
-let less = T.map2_cmp ( < )
-
-let greater = T.map2_cmp ( > )
-
-let greater_equal = T.map2_cmp ( >= )
-
-(* One broadcast-indexed pass allocating only the output — the previous
-   implementation materialized three full-size temporaries (and cast the
-   bool condition through the value dtype). A non-zero condition element
-   selects from [a]. *)
-let select cond a b =
-  let out_shape =
-    Shape.broadcast (Shape.broadcast (T.shape cond) (T.shape a)) (T.shape b)
-  in
-  let ic = T.broadcast_index cond out_shape
-  and ia = T.broadcast_index a out_shape
-  and ib = T.broadcast_index b out_shape in
-  let n = Shape.numel out_shape in
-  let out = T.zeros (T.dtype a) out_shape in
-  Parallel.parallel_for ~grain:4096 n (fun lo hi ->
-      for i = lo to hi - 1 do
-        T.flat_set_f out i
-          (if T.flat_get_f cond (ic i) <> 0.0 then T.flat_get_f a (ia i)
-           else T.flat_get_f b (ib i))
-      done);
-  out
+let select = Fused_eval.select
 
 (* Materialize the transpose of a [cols x rows] row-major buffer as a
    [rows x cols] one, so the transposed matmul variants reuse the fast
@@ -375,20 +325,8 @@ let tile t ~multiples =
   out
 
 let broadcast_to t target =
-  let bshape = Shape.broadcast (T.shape t) target in
-  if not (Shape.equal bshape target) then
-    invalid_arg "Tensor_ops.broadcast_to: not broadcastable to target";
   if Shape.equal (T.shape t) target then T.copy t
-  else begin
-    let ix = T.broadcast_index t target in
-    let n = Shape.numel target in
-    let out = T.zeros (T.dtype t) target in
-    Parallel.parallel_for ~grain:8192 n (fun lo hi ->
-        for i = lo to hi - 1 do
-          T.flat_set_f out i (T.flat_get_f t (ix i))
-        done);
-    out
-  end
+  else Fused_eval.broadcast_to t target
 
 let one_hot indices ~depth =
   let in_shape = T.shape indices in

@@ -9,70 +9,51 @@
 
 (** {1 Elementwise (broadcasting)}
 
-    All elementwise ops accept [?out], a preallocated output buffer the
-    executor's memory planner may supply when it has proved the buffer
-    can be reused in place (it may alias an operand's backing store —
-    see {!Tensor.map_f}).  Buffers of the wrong length are ignored. *)
+    One-op expressions on the elementwise engine ({!Fused_eval}), so a
+    standalone op and the same op inside a fused group compute the same
+    bits. All elementwise ops accept [?out], a preallocated output
+    buffer the executor's memory planner may supply when it has proved
+    the buffer can be reused in place (it may alias an operand's
+    backing store). Buffers of the wrong length are ignored. Integer
+    results truncate through [int_of_float]. *)
 
 val add : ?out:float array -> Tensor.t -> Tensor.t -> Tensor.t
-
 val sub : ?out:float array -> Tensor.t -> Tensor.t -> Tensor.t
-
 val mul : ?out:float array -> Tensor.t -> Tensor.t -> Tensor.t
-
 val div : ?out:float array -> Tensor.t -> Tensor.t -> Tensor.t
-
 val maximum : ?out:float array -> Tensor.t -> Tensor.t -> Tensor.t
-
 val minimum : ?out:float array -> Tensor.t -> Tensor.t -> Tensor.t
-
 val pow : ?out:float array -> Tensor.t -> Tensor.t -> Tensor.t
-
 val modulo : ?out:float array -> Tensor.t -> Tensor.t -> Tensor.t
 (** Floor-mod with TensorFlow FloorMod semantics: the result has the
     divisor's sign and [modulo x y = x - floor(x / y) * y] for fractional
     operands (no truncation to integer). *)
 
 val neg : ?out:float array -> Tensor.t -> Tensor.t
-
 val abs : ?out:float array -> Tensor.t -> Tensor.t
-
 val sign : ?out:float array -> Tensor.t -> Tensor.t
-
 val exp : ?out:float array -> Tensor.t -> Tensor.t
-
 val log : ?out:float array -> Tensor.t -> Tensor.t
-
 val sqrt : ?out:float array -> Tensor.t -> Tensor.t
-
 val square : ?out:float array -> Tensor.t -> Tensor.t
-
 val reciprocal : ?out:float array -> Tensor.t -> Tensor.t
-
 val relu : ?out:float array -> Tensor.t -> Tensor.t
-
 val relu_grad : ?out:float array -> Tensor.t -> Tensor.t -> Tensor.t
 (** [relu_grad dy x] is [dy] where [x > 0], else [0]. *)
 
 val sigmoid : ?out:float array -> Tensor.t -> Tensor.t
-
 val tanh : ?out:float array -> Tensor.t -> Tensor.t
 
 (** {1 Comparison and selection} *)
 
 val equal : Tensor.t -> Tensor.t -> Tensor.t
-
 val less : Tensor.t -> Tensor.t -> Tensor.t
-
 val greater : Tensor.t -> Tensor.t -> Tensor.t
-
 val greater_equal : Tensor.t -> Tensor.t -> Tensor.t
-
 val select : Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
 (** [select cond a b]: elementwise [if cond then a else b]; [cond] is a
     bool (or numeric, non-zero = true) tensor broadcastable against
-    [a]/[b]. Single broadcast-indexed pass: only the output is
-    allocated. *)
+    [a]/[b]. One engine pass: only the output is allocated. *)
 
 (** {1 Linear algebra} *)
 

@@ -49,12 +49,21 @@ let unary_ops =
 
 let binary_ops = [| "Add"; "Sub"; "Mul"; "Maximum"; "Minimum" |]
 
+(* The rest of the elementwise engine's fusable ops, for the leg that
+   covers every one of them. [apply_unary]/[apply_binary] keep each in
+   its domain, so values stay real and finite. *)
+let all_unary_ops =
+  Array.append unary_ops [| "Sign"; "Exp"; "Log"; "Sqrt"; "Reciprocal" |]
+
+let all_binary_ops =
+  Array.append binary_ops [| "Div"; "Pow"; "Mod"; "ReluGrad" |]
+
 (* Output shape of each instruction, used to pick compatible operands.
    Binary/Add_n operands are either same-shaped or scalar, so the
    broadcast result is the highest-rank operand's shape. All values
-   stay NaN-free: leaves are in [-1, 1] and no op in the pool (no
-   exp/log/sqrt/div) can escape the reals, so bitwise comparison of
-   fetches is meaningful. *)
+   stay NaN-free: leaves are in [-1, 1] and every op either stays in
+   the reals or is applied inside its domain (see [apply_unary]), so
+   bitwise comparison of fetches is meaningful. *)
 let shape_of shapes = function
   | Leaf s | Fed s -> s
   | Unary (_, a) -> shapes.(a)
@@ -74,7 +83,8 @@ let shape_of shapes = function
 (* Generate a program of [ops] instructions after a fixed set of leaves.
    Operand picks that need a matching partner fall back to a unary op
    when none exists, so generation never fails. *)
-let gen_program rng ~ops =
+let gen_program ?(unary_ops = unary_ops) ?(binary_ops = binary_ops) rng ~ops
+    =
   let leaves =
     [ Leaf [||]; Leaf [| 4 |]; Leaf [| 3; 4 |]; Leaf [| 4; 5 |];
       Fed [| 4 |]; Fed [| 3; 4 |] ]
@@ -176,6 +186,10 @@ let sinks prog k =
   done;
   List.filter (fun i -> not consumed.(i)) (List.init k Fun.id)
 
+(* [x * x + 1]: at least 1, a safe argument for Log/Sqrt/Reciprocal, a
+   divisor for Div/Mod and a base for Pow. *)
+let square_plus_one b x = B.add b (B.square b x) (B.const_f b 1.0)
+
 let apply_unary b op x =
   match op with
   | "Neg" -> B.neg b x
@@ -186,6 +200,11 @@ let apply_unary b op x =
   | "Tanh" -> B.tanh b x
   | "Identity" -> B.identity b x
   | "StopGradient" -> B.stop_gradient b x
+  | "Sign" -> B.sign b x
+  | "Exp" -> B.exp b (B.tanh b x)
+  | "Log" -> B.log b (square_plus_one b x)
+  | "Sqrt" -> B.sqrt b (square_plus_one b x)
+  | "Reciprocal" -> B.reciprocal b (square_plus_one b x)
   | _ -> assert false
 
 let apply_binary b op x y =
@@ -195,6 +214,10 @@ let apply_binary b op x y =
   | "Mul" -> B.mul b x y
   | "Maximum" -> B.maximum b x y
   | "Minimum" -> B.minimum b x y
+  | "Div" -> B.div b x (square_plus_one b y)
+  | "Pow" -> B.pow b (square_plus_one b x) (B.tanh b y)
+  | "Mod" -> B.modulo b x (square_plus_one b y)
+  | "ReluGrad" -> B.relu_grad b x y
   | _ -> assert false
 
 (* Build the graph for a program prefix of length [k] and return the
@@ -496,14 +519,19 @@ let test_random_dags_quantized () =
           (program_to_string prog !k)
   done
 
-let random_dags ~control_flow () =
+let random_dags ?(every_op = false) ~control_flow () =
   let saved = Parallel.threads () in
   Fun.protect ~finally:(fun () -> Parallel.set_threads saved) @@ fun () ->
   let graphs = 200 in
   for seed = 1 to graphs do
     let rng = Rng.create (1000 + seed) in
     let ops = 4 + Rng.int rng 11 in
-    let prog = gen_program rng ~ops in
+    let prog =
+      if every_op then
+        gen_program ~unary_ops:all_unary_ops ~binary_ops:all_binary_ops rng
+          ~ops
+      else gen_program rng ~ops
+    in
     let n = Array.length prog in
     let divergence =
       divergence
@@ -620,4 +648,8 @@ let suite =
     Alcotest.test_case
       "cond and while_loop over 200 random DAGs, 16 configs, bit-identical"
       `Quick (random_dags ~control_flow:true);
+    Alcotest.test_case
+      "200 random DAGs over every fusable op, 16 configs, bit-identical"
+      `Quick
+      (random_dags ~every_op:true ~control_flow:false);
   ]

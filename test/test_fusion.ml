@@ -126,9 +126,7 @@ let test_addn_broadcast_group () =
 
 (* Integer dtype: binary results truncate through int between ops
    (I32 division included); fused and unfused must agree bit-for-bit,
-   including the buffer representation Tensor.equal compares. The chain
-   is binary-only — standalone unary kernels reject Int_buf tensors, so
-   that is the int path that exists to be bit-identical with. *)
+   including the buffer representation Tensor.equal compares. *)
 let test_int_chain () =
   let build () =
     let b = B.create () in
@@ -149,6 +147,187 @@ let test_int_chain () =
   let got, fused = run_stats ~passes:fused_passes ~feeds:[] b2 [ y2 ] in
   check_identical "int chain bit-identical" expected got;
   Alcotest.(check int) "one fused kernel" 1 (count_op fused "FusedElementwise")
+
+(* Unary ops on an integer dtype follow the binary rule: each result
+   truncates through int_of_float, unfused and fused alike. *)
+let test_int_unary_chain () =
+  let xs = [| -7; -3; 0; 1; 5; 9 |] in
+  let x () = Tensor.of_int_array [| 6 |] xs in
+  Alcotest.(check (array int))
+    "Neg" (Array.map (fun v -> -v) xs)
+    (Tensor.int_buffer (Tensor_ops.neg (x ())));
+  Alcotest.(check (array int))
+    "Abs" (Array.map abs xs)
+    (Tensor.int_buffer (Tensor_ops.abs (x ())));
+  Alcotest.(check (array int))
+    "Square" (Array.map (fun v -> v * v) xs)
+    (Tensor.int_buffer (Tensor_ops.square (x ())));
+  let build () =
+    let b = B.create () in
+    let c = B.const b (x ()) in
+    let half = B.const b (Tensor.scalar_i 2) in
+    let y = B.square b (B.div b (B.abs b (B.neg b c)) half) in
+    (b, B.identity b y)
+  in
+  let b1, y1 = build () in
+  let expected, _ = run_stats ~passes:[] ~feeds:[] b1 [ y1 ] in
+  let b2, y2 = build () in
+  let got, fused = run_stats ~passes:fused_passes ~feeds:[] b2 [ y2 ] in
+  check_identical "int unary chain bit-identical" expected got;
+  Alcotest.(check int) "one fused kernel" 1 (count_op fused "FusedElementwise");
+  Alcotest.(check (array int))
+    "values" [| 9; 1; 0; 0; 4; 16 |]
+    (Tensor.int_buffer (List.hd got))
+
+(* ReluGrad (dy, x) passes dy where x > 0. Its fused form once tested
+   the wrong operand: fused ReluGrad(Neg dy, x) gave [0 6 0 -8]. *)
+let test_relu_grad_operand_order () =
+  let build () =
+    let b = B.create () in
+    let dy = B.placeholder b Dtype.F32 and x = B.placeholder b Dtype.F32 in
+    (b, dy, x, B.identity b (B.relu_grad b (B.neg b dy) x))
+  in
+  let feeds dy x =
+    [
+      (dy, Tensor.of_float_array [| 4 |] [| 1.; -2.; 3.; -4. |]);
+      (x, Tensor.of_float_array [| 4 |] [| 5.; 6.; -7.; -8. |]);
+    ]
+  in
+  let b1, dy1, x1, y1 = build () in
+  let expected, _ = run_stats ~passes:[] ~feeds:(feeds dy1 x1) b1 [ y1 ] in
+  Alcotest.(check (array (float 0.0)))
+    "unfused values" [| -1.; 2.; 0.; 0. |]
+    (Tensor.float_buffer (List.hd expected));
+  let b2, dy2, x2, y2 = build () in
+  let got, fused =
+    run_stats ~passes:fused_passes ~feeds:(feeds dy2 x2) b2 [ y2 ]
+  in
+  Alcotest.(check int) "one fused kernel" 1 (count_op fused "FusedElementwise");
+  check_identical "fused ReluGrad bit-identical" expected got
+
+(* The engine against a naive per-element reference written here: a
+   random op over two operands that broadcast to a random output shape
+   (scalars, trailing rows, middle axes, size-1 dimensions), optionally
+   followed by a unary op, optionally written in place into either
+   full-size operand's buffer. One dimension may be large, so chunk and
+   shard boundaries are crossed. *)
+let reference_binary = function
+  | "Add" -> ( +. )
+  | "Sub" -> ( -. )
+  | "Mul" -> ( *. )
+  | "Div" -> ( /. )
+  | "Pow" -> ( ** )
+  | "Mod" ->
+      fun a b ->
+        let r = Float.rem a b in
+        if r <> 0.0 && r < 0.0 <> (b < 0.0) then r +. b else r
+  | "Maximum" -> Float.max
+  | "Minimum" -> Float.min
+  | "ReluGrad" -> fun g v -> if v > 0.0 then g else 0.0
+  | op -> Alcotest.failf "no reference for %s" op
+
+let reference_unary = function
+  | "Neg" -> Float.neg
+  | "Abs" -> Float.abs
+  | "Sign" -> fun x -> if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0
+  | "Exp" -> Float.exp
+  | "Log" -> Float.log
+  | "Sqrt" -> Float.sqrt
+  | "Square" -> fun x -> x *. x
+  | "Reciprocal" -> fun x -> 1.0 /. x
+  | "Relu" -> Float.max 0.0
+  | "Sigmoid" -> fun x -> 1.0 /. (1.0 +. Float.exp (-.x))
+  | "Tanh" -> Float.tanh
+  | op -> Alcotest.failf "no reference for %s" op
+
+type engine_case = {
+  shape_a : int array;
+  shape_b : int array;
+  op : string;
+  after : string option;
+  in_place : int option;  (* operand whose buffer is granted as ?out *)
+  seed : int;
+}
+
+(* Each operand keeps or collapses every dimension of a template shape
+   and may drop a prefix of them (all of them makes a scalar), so the
+   two always broadcast. *)
+let gen_case =
+  let open QCheck.Gen in
+  let* rank = int_range 0 4 in
+  let* big = int_range (-1) (rank - 1) in
+  let* dims = array_repeat rank (int_range 1 4) in
+  let template =
+    Array.mapi (fun i d -> if i = big then 300 + (37 * d) else d) dims
+  in
+  let operand =
+    let* drop = int_range 0 rank in
+    let* keep = array_repeat rank bool in
+    return
+      (Array.sub
+         (Array.mapi (fun i d -> if keep.(i) then d else 1) template)
+         drop (rank - drop))
+  in
+  let* shape_a = operand and* shape_b = operand in
+  let* op = oneofl Fused_eval.binary_op_names in
+  let* after = opt (oneofl Fused_eval.unary_op_names) in
+  let* in_place = oneofl [ None; Some 0; Some 1 ] in
+  let* seed = int_bound 10_000 in
+  return { shape_a; shape_b; op; after; in_place; seed }
+
+let print_case c =
+  Printf.sprintf "%s %s %s%s in_place=%s seed=%d" c.op
+    (Shape.to_string c.shape_a) (Shape.to_string c.shape_b)
+    (match c.after with Some u -> " then " ^ u | None -> "")
+    (match c.in_place with Some k -> string_of_int k | None -> "no")
+    c.seed
+
+let prop_engine_reference =
+  QCheck.Test.make ~name:"engine matches a naive broadcast reference"
+    ~count:300
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let rng = Rng.create c.seed in
+      let a = Tensor.uniform rng c.shape_a ~lo:(-2.0) ~hi:2.0 in
+      let b = Tensor.uniform rng c.shape_b ~lo:(-2.0) ~hi:2.0 in
+      let out_shape = Shape.broadcast c.shape_a c.shape_b in
+      (* Reference, before an in-place run can overwrite an operand. *)
+      let src t i =
+        let s = Tensor.shape t in
+        let r = Array.length s and ro = Array.length out_shape in
+        let idx = Shape.multi_index out_shape i in
+        Tensor.get_f t
+          (Array.init r (fun d -> if s.(d) = 1 then 0 else idx.(d + ro - r)))
+      in
+      let f = reference_binary c.op in
+      let g =
+        match c.after with Some u -> reference_unary u | None -> Fun.id
+      in
+      let expected =
+        Array.init (Shape.numel out_shape) (fun i -> g (f (src a i) (src b i)))
+      in
+      let out =
+        match c.in_place with
+        | Some 0 when Shape.equal (Tensor.shape a) out_shape ->
+            Some (Tensor.float_buffer a)
+        | Some 1 when Shape.equal (Tensor.shape b) out_shape ->
+            Some (Tensor.float_buffer b)
+        | _ -> None
+      in
+      let got =
+        match c.after with
+        | None -> Fused_eval.binary c.op ?out a b
+        | Some u ->
+            Fused_eval.eval ?out
+              Fused_eval.(Unary (u, Binary (c.op, Input 0, Input 1)))
+              [| a; b |]
+      in
+      let bits x = Int64.bits_of_float x in
+      Shape.equal (Tensor.shape got) out_shape
+      && Array.for_all2
+           (fun e v -> Int64.equal (bits e) (bits v))
+           expected (Tensor.float_buffer got)
+      && match out with Some o -> Tensor.float_buffer got == o | None -> true)
 
 (* A producer with two consumers is never recomputed per consumer: it
    stays out of its consumers' groups and roots its own. *)
@@ -266,4 +445,9 @@ let suite =
     Alcotest.test_case "fetched interior stays materialized" `Quick
       test_fetched_interior_kept;
     Alcotest.test_case "session fusion knob" `Quick test_session_knob;
+    Alcotest.test_case "int dtype unary chain bit-identical" `Quick
+      test_int_unary_chain;
+    Alcotest.test_case "ReluGrad operand order fused = unfused" `Quick
+      test_relu_grad_operand_order;
+    QCheck_alcotest.to_alcotest prop_engine_reference;
   ]

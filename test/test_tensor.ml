@@ -47,19 +47,20 @@ let test_cast () =
   let back = Tensor.cast i Dtype.F32 in
   approx "back" 1.0 (Tensor.flat_get_f back 0)
 
-let test_map2_broadcast () =
+(* Elementwise arithmetic runs on the engine (Fused_eval). *)
+let test_engine_broadcast () =
   let a = Tensor.of_float_array [| 2; 2 |] [| 1.; 2.; 3.; 4. |] in
   let row = Tensor.of_float_array [| 2 |] [| 10.; 20. |] in
-  let sum = Tensor.map2_f ( +. ) a row in
+  let sum = Fused_eval.binary "Add" a row in
   Alcotest.(check bool) "broadcast add" true
     (Tensor.approx_equal sum
        (Tensor.of_float_array [| 2; 2 |] [| 11.; 22.; 13.; 24. |]))
 
-let test_map2_dtype_mismatch () =
+let test_engine_dtype_mismatch () =
   let f = Tensor.scalar_f 1.0 and i = Tensor.scalar_i 1 in
   Alcotest.check_raises "mismatch"
-    (Invalid_argument "Tensor.map2_f: dtype mismatch float32 vs int32")
-    (fun () -> ignore (Tensor.map2_f ( +. ) f i))
+    (Invalid_argument "Fused_eval: dtype mismatch float32 vs int32")
+    (fun () -> ignore (Fused_eval.binary "Add" f i))
 
 let test_copy_isolation () =
   let t = Tensor.of_float_array [| 2 |] [| 1.; 2. |] in
@@ -111,8 +112,9 @@ let suite =
     Alcotest.test_case "scalars" `Quick test_scalars;
     Alcotest.test_case "reshape" `Quick test_reshape;
     Alcotest.test_case "cast" `Quick test_cast;
-    Alcotest.test_case "map2 broadcast" `Quick test_map2_broadcast;
-    Alcotest.test_case "map2 dtype mismatch" `Quick test_map2_dtype_mismatch;
+    Alcotest.test_case "engine broadcast" `Quick test_engine_broadcast;
+    Alcotest.test_case "engine dtype mismatch" `Quick
+      test_engine_dtype_mismatch;
     Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
     Alcotest.test_case "init_f" `Quick test_init_f;
     Alcotest.test_case "byte size" `Quick test_byte_size;
